@@ -40,7 +40,7 @@ from .posets import (
     is_closed,
     mobius_matrix,
 )
-from .randomcheck import run_verify
+from .randomcheck import inverse_mismatch, run_verify
 from .rowadjusted import (
     FunctionFamily,
     build_matrix,
@@ -59,12 +59,15 @@ EXIT_MISMATCH = 5
 
 @dataclass
 class RunConfig:
-    """Everything a data subcommand needs, resolved from flags."""
+    """Everything a data subcommand needs, resolved from flags.
+
+    `family` is None for subcommands without family flags.
+    """
 
     backend: OrderBackend
     backend_kind: str
     subset: Subset
-    family: FunctionFamily
+    family: FunctionFamily | None
     mode: str
     column_adjusted: bool
     format: str
@@ -221,7 +224,7 @@ def _make_config(args) -> RunConfig:
     backend, kind, members = _resolve_backend(args)
     subset = Subset(backend, members)
     mode = args.mode
-    family = _resolve_family(args, subset, mode)
+    family = _resolve_family(args, subset, mode) if hasattr(args, "family") else None
     return RunConfig(
         backend=backend,
         backend_kind=kind,
@@ -315,13 +318,9 @@ def cmd_analyze(args) -> int:
     out.text(f"invertible: {'yes' if invertible else 'no'}")
     if invertible:
         inverse = theorem_inverse(subset, family, mode)
-        ident = Matrix.identity(subset.n)
-        if inverse @ matrix != ident or matrix @ inverse != ident:
-            raise OracleMismatchError("closed-form inverse fails B*M = M*B = I")
-        if inverse != matrix.inverse():
-            raise OracleMismatchError(
-                "closed-form inverse differs from elimination inverse"
-            )
+        problem = inverse_mismatch(matrix, inverse)
+        if problem:
+            raise OracleMismatchError(problem)
         if config.column_adjusted:
             inverse = inverse.transpose()
         out.matrix("inverse", "inverse", inverse)
@@ -330,24 +329,25 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    config = _make_config_nofamily(args)
+    config = _make_config(args)
     out = Output(config.format == "machine")
     closed = closure_set(config.subset, config.mode)
+    already = set(closed.elements) == set(config.subset.members)
     out.kv("command", "closure")
     out.kv("mode", config.mode)
     out.kv("set", render_elements(config.subset.members))
     out.kv("closure", render_elements(closed.elements))
     out.kv("m", closed.m)
-    out.kv("closed", str(is_closed(config.subset, config.mode)).lower())
+    out.kv("closed", str(already).lower())
     out.text(f"{config.mode} closure of {render_elements(config.subset.members)}:")
     out.text(f"  {render_elements(closed.elements)}")
-    out.text(f"already closed: {'yes' if is_closed(config.subset, config.mode) else 'no'}")
+    out.text(f"already closed: {'yes' if already else 'no'}")
     out.emit()
     return EXIT_OK
 
 
 def cmd_mobius(args) -> int:
-    config = _make_config_nofamily(args)
+    config = _make_config(args)
     out = Output(config.format == "machine")
     closed = closure_set(config.subset, config.mode)
     mob = mobius_matrix(closed)
@@ -361,19 +361,6 @@ def cmd_mobius(args) -> int:
     out.matrix("mobius", "mobius", mob)
     out.emit()
     return EXIT_OK
-
-
-@dataclass
-class _BareConfig:
-    subset: Subset
-    mode: str
-    format: str
-
-
-def _make_config_nofamily(args) -> _BareConfig:
-    backend, kind, members = _resolve_backend(args)
-    subset = Subset(backend, members)
-    return _BareConfig(subset=subset, mode=args.mode, format=args.format)
 
 
 def cmd_verify(args) -> int:
@@ -415,26 +402,25 @@ _COMMANDS = {
 }
 
 
+# Exit code per error type; the first matching entry wins.
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    DomainError: EXIT_PARSE,
+    DimensionError: EXIT_PARSE,
+    StructureError: EXIT_STRUCTURE,
+    MissingValueError: EXIT_MISSING,
+    OracleMismatchError: EXIT_MISMATCH,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DomainError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except StructureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURE
-    except MissingValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    except OracleMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

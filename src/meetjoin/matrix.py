@@ -212,27 +212,11 @@ class Matrix:
 
 
 def _dot(row, col) -> Scalar:
+    # Zero terms are skipped: exact 0 * b is 0, and triangular or 0/1
+    # factors are mostly zeros.
     total = ZERO
     for a, b in zip(row, col):
+        if a.is_zero or b.is_zero:
+            continue
         total = total + a * b
     return total
-
-
-def multiply(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
-def hadamard(a: Matrix, b: Matrix) -> Matrix:
-    return a.hadamard(b)
-
-
-def det_oracle(a: Matrix) -> Scalar:
-    return a.det()
-
-
-def rank_oracle(a: Matrix) -> int:
-    return a.rank()
-
-
-def inverse_oracle(a: Matrix) -> Matrix:
-    return a.inverse()

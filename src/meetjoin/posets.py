@@ -62,7 +62,7 @@ class DivisorLattice(OrderBackend):
     """Positive integers ordered by divisibility; meet=gcd, join=lcm."""
 
     def check_element(self, x):
-        if not isinstance(x, int) or x < 1:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
             raise UnknownElementError(f"divisor lattice elements are positive integers, got {x!r}")
         return x
 

@@ -212,6 +212,24 @@ def _psi_reconstructs(inst: Instance, closure: ClosureSet, grid: Matrix) -> str 
     return None
 
 
+def inverse_mismatch(matrix: Matrix, inverse: Matrix) -> str | None:
+    """Check a closed-form inverse against the elimination oracle.
+
+    Returns a description of the first failed check (B*M = M*B = I, then
+    equality with `Matrix.inverse`, then elimination finding an inverse at
+    all), or None when the inverse passes them all.
+    """
+    ident = Matrix.identity(matrix.rows)
+    if inverse @ matrix != ident or matrix @ inverse != ident:
+        return "closed-form inverse fails B*M = M*B = I"
+    try:
+        if inverse != matrix.inverse():
+            return "closed-form inverse differs from elimination inverse"
+    except SingularError:
+        return "all recursion diagonals nonzero yet elimination found no inverse"
+    return None
+
+
 def check_instance(
     inst: Instance,
     report: VerifyReport,
@@ -295,23 +313,9 @@ def check_instance(
 
     report.tally("rank_trichotomy")
     try:
-        rr = rank_report(subset, family, mode)
+        rank_report(subset, family, mode)
     except OracleMismatchError as exc:
         report.fail("rank_trichotomy", case, inst.label, str(exc))
-        rr = None
-    if rr is not None:
-        n = subset.n
-        if not matrix.is_zero():
-            if rr.k == 0 and rr.exact != n:
-                report.fail(
-                    "rank_trichotomy", case, inst.label,
-                    f"k=0 but exact rank {rr.exact} < {n}",
-                )
-            if rr.k > 0 and not (n - rr.k <= rr.exact <= n - 1):
-                report.fail(
-                    "rank_trichotomy", case, inst.label,
-                    f"k={rr.k} but exact rank {rr.exact} outside [{n - rr.k}, {n - 1}]",
-                )
 
     report.tally("inverse_iff")
     diag = psi_table(subset, family, mode, ClosureSet.from_subset(subset, mode)).diagonal(subset)
@@ -321,25 +325,9 @@ def check_instance(
         except MeetJoinError as exc:
             report.fail("inverse_iff", case, inst.label, f"unexpected {exc}")
         else:
-            n = subset.n
-            ident = Matrix.identity(n)
-            if inv @ matrix != ident or matrix @ inv != ident:
-                report.fail(
-                    "inverse_iff", case, inst.label,
-                    "closed-form inverse fails B*M = M*B = I",
-                )
-            else:
-                try:
-                    if inv != matrix.inverse():
-                        report.fail(
-                            "inverse_iff", case, inst.label,
-                            "closed-form inverse differs from elimination inverse",
-                        )
-                except SingularError:
-                    report.fail(
-                        "inverse_iff", case, inst.label,
-                        "all recursion diagonals nonzero yet elimination found no inverse",
-                    )
+            problem = inverse_mismatch(matrix, inv)
+            if problem:
+                report.fail("inverse_iff", case, inst.label, problem)
     else:
         if not matrix.det().is_zero:
             report.fail(
@@ -360,15 +348,9 @@ def check_instance(
     if inst.identical_rows:
         report.tally("ordinary_rank")
         try:
-            predicted = ordinary_rank(subset, inst.family.table(0), mode)
+            ordinary_rank(subset, inst.family.table(0), mode)
         except OracleMismatchError as exc:
             report.fail("ordinary_rank", case, inst.label, str(exc))
-        else:
-            if predicted != matrix.rank():
-                report.fail(
-                    "ordinary_rank", case, inst.label,
-                    f"predicted {predicted}, elimination found {matrix.rank()}",
-                )
 
 
 def _pentagon() -> tuple[Subset, FunctionFamily]:

@@ -9,7 +9,10 @@ They give the factorization
     matrix = (incidence . psi_grid) @ incidence^T   (entrywise product)
 
 from which determinant, rank bounds, and the inverse of closed sets
-follow without elimination.
+follow without elimination. For a closed set the closure is the subset
+itself and the masked grid L = incidence . psi_grid is triangular, so
+det is the product of its diagonal and the inverse is mobius @ L^-1
+(mobius^T @ L^-1 in join mode).
 """
 
 from __future__ import annotations
@@ -149,29 +152,39 @@ def psi_table(
     return PsiTable(mode, closure, grid)
 
 
-def _psi_recursion(family: FunctionFamily, closure: ClosureSet) -> Matrix:
-    backend = closure.backend
+def _walk(closure: ClosureSet) -> list[tuple[int, list[int]]]:
+    """Closure indices in solving order, each with the indices it depends on.
+
+    Meet mode walks bottom-up and pairs each element with those strictly
+    below it; join mode walks top-down and pairs it with those strictly
+    above. Every related index is walked before the element itself.
+    """
+    leq = closure.backend.leq
     elems = closure.elements
     m = len(elems)
-    below = [
-        [v for v in range(k) if backend.leq(elems[v], elems[k])] for k in range(m)
-    ]
+    if closure.mode == MEET:
+        order, precedes = range(m), leq
+    else:
+        order, precedes = range(m - 1, -1, -1), lambda a, b: leq(b, a)
+    walked: list[int] = []
+    steps = []
+    for k in order:
+        steps.append((k, [v for v in walked if precedes(elems[v], elems[k])]))
+        walked.append(k)
+    return steps
+
+
+def _psi_recursion(family: FunctionFamily, closure: ClosureSet) -> Matrix:
+    elems = closure.elements
+    steps = _walk(closure)
     rows = []
     for i in range(family.n):
-        values: list[Scalar] = [ZERO] * m
-        if closure.mode == MEET:
-            for k in range(m):
-                total = family.value(i, elems[k])
-                for v in below[k]:
-                    total = total - values[v]
-                values[k] = total
-        else:
-            for k in range(m - 1, -1, -1):
-                total = family.value(i, elems[k])
-                for v in range(k + 1, m):
-                    if backend.leq(elems[k], elems[v]):
-                        total = total - values[v]
-                values[k] = total
+        values: list[Scalar] = [ZERO] * len(elems)
+        for k, related in steps:
+            total = family.value(i, elems[k])
+            for v in related:
+                total = total - values[v]
+            values[k] = total
         rows.append(values)
     return Matrix(rows)
 
@@ -309,10 +322,9 @@ def rank_report(subset: Subset, family: FunctionFamily, mode: str = MEET) -> Ran
 
 @dataclass(frozen=True)
 class ThetaTable:
-    """Back-substitution coefficients for the closed-set inverse.
+    """Theta = L^-1, the inverse of the masked recursion grid of a closed set.
 
-    grid entry (k, j) is the coefficient tied to rows k and j; the
-    diagonal is the reciprocal of the diagonal recursion values. Meet
+    The diagonal is the reciprocal of the diagonal recursion values. Meet
     mode fills below the diagonal, join mode above; the rest is zero.
     """
 
@@ -321,7 +333,7 @@ class ThetaTable:
 
 
 def theta_table(subset: Subset, family: FunctionFamily, mode: str = MEET) -> ThetaTable:
-    """Solve the triangular system whose solution assembles the inverse.
+    """Invert the triangular masked recursion grid L of a closed set.
 
     Requires a closed subset with no zero diagonal recursion value;
     raises SingularPsiError naming the first offending row otherwise.
@@ -332,26 +344,20 @@ def theta_table(subset: Subset, family: FunctionFamily, mode: str = MEET) -> The
         if value.is_zero:
             raise SingularPsiError(i)
 
-    n = subset.n
+    # The masked grid L (incidence . psi) is triangular in the walk order,
+    # so L @ Theta = I is solved by substitution, one row of Theta at a time.
     psi = table.grid
-    incidence = incidence_matrix(subset, table.closure)
+    n = subset.n
     theta = [[ZERO] * n for _ in range(n)]
-    if mode == MEET:
-        for j in range(n):
-            theta[j][j] = ONE / diag[j]
-            for k in range(j + 1, n):
-                total = ZERO
-                for u in range(j, k):
-                    total = total + incidence[k, u] * psi[k, u] * theta[u][j]
-                theta[k][j] = -(total / diag[k])
-    else:
-        for j in range(n):
-            theta[j][j] = ONE / diag[j]
-            for k in range(j - 1, -1, -1):
-                total = ZERO
-                for u in range(k + 1, j + 1):
-                    total = total + incidence[k, u] * psi[k, u] * theta[u][j]
-                theta[k][j] = -(total / diag[k])
+    solved: list[int] = []
+    for k, related in _walk(table.closure):
+        theta[k][k] = ONE / diag[k]
+        for j in solved:
+            total = ZERO
+            for u in related:
+                total = total + psi[k, u] * theta[u][j]
+            theta[k][j] = -(total / diag[k])
+        solved.append(k)
     return ThetaTable(mode, Matrix(theta))
 
 
@@ -359,49 +365,22 @@ def theorem_inverse(subset: Subset, family: FunctionFamily, mode: str = MEET) ->
     """Inverse of the matrix of a closed set via the triangular recursion.
 
     Exists iff every diagonal recursion value is nonzero; otherwise raises
-    SingularPsiError naming the first offending row. Built from the
-    Möbius matrix of the subset and the back-substitution coefficients,
+    SingularPsiError naming the first offending row. The product of the
+    Möbius matrix of the subset (its transpose in join mode) and Theta,
     never from elimination.
     """
     theta = theta_table(subset, family, mode).grid
-    n = subset.n
     mob = mobius_matrix(ClosureSet.from_subset(subset, mode))
-    if mode == MEET:
-        rows = [
-            [
-                _sum(mob[i, k] * theta[k, j] for k in range(j, n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    else:
-        rows = [
-            [
-                _sum(mob[k, i] * theta[k, j] for k in range(j + 1))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    return Matrix(rows)
+    return (mob if mode == MEET else mob.transpose()) @ theta
 
 
 def ordinary_rank(subset: Subset, table: Mapping, mode: str = MEET) -> int:
     """Rank of the one-function (ordinary) matrix of a closed set: exactly
     n minus the number of zero diagonal recursion values."""
-    family = FunctionFamily([table] * subset.n)
-    psi_diag = _closed_psi(subset, family, mode).diagonal(subset)
-    k = sum(1 for v in psi_diag if v.is_zero)
-    predicted = subset.n - k
-    actual = build_matrix(subset, family, mode).rank()
-    if predicted != actual:
+    report = rank_report(subset, FunctionFamily([table] * subset.n), mode)
+    predicted = subset.n - report.k
+    if predicted != report.exact:
         raise OracleMismatchError(
-            f"predicted rank {predicted} but elimination found {actual}"
+            f"predicted rank {predicted} but elimination found {report.exact}"
         )
     return predicted
-
-
-def _sum(values) -> Scalar:
-    total = ZERO
-    for v in values:
-        total = total + v
-    return total

@@ -36,15 +36,18 @@ class Scalar:
     def parse(cls, text: str) -> "Scalar":
         """Parse `p/q`, integer, pure-imaginary, or `p/q+r/si` syntax."""
         token = text.strip()
-        m = _COMPLEX_RE.fullmatch(token)
-        if m:
-            return cls(Fraction(m.group("re")), _imag_part(m.group("im")))
-        m = _IMAG_RE.fullmatch(token)
-        if m:
-            return cls(Fraction(0), _imag_part(m.group("im")))
-        m = _REAL_RE.fullmatch(token)
-        if m:
-            return cls(Fraction(token))
+        try:
+            m = _COMPLEX_RE.fullmatch(token)
+            if m:
+                return cls(Fraction(m.group("re")), _imag_part(m.group("im")))
+            m = _IMAG_RE.fullmatch(token)
+            if m:
+                return cls(Fraction(0), _imag_part(m.group("im")))
+            m = _REAL_RE.fullmatch(token)
+            if m:
+                return cls(Fraction(token))
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in scalar: {text!r}") from None
         raise ParseError(f"not a scalar: {text!r}")
 
     @property

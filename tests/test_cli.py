@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from meetjoin.cli import main
+from meetjoin.matrix import Matrix
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -220,6 +221,13 @@ def test_exit_code_parse_error(capsys, tmp_path):
     )
     assert code == 2
 
+    code, _, err = run(
+        capsys, "analyze", "--divisors", "--set", "1", "2", "3", "--family", "const:1/0",
+    )
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
 
 def test_exit_code_structure_error(capsys, tmp_path):
     cyc = tmp_path / "cyc.poset"
@@ -241,6 +249,25 @@ def test_exit_code_missing_value(capsys, tmp_path):
     )
     assert code == 4
     assert "no value" in err
+
+
+@pytest.mark.parametrize(
+    "target, perturb",
+    [
+        ("theorem_inverse", lambda inverse: inverse + Matrix.diagonal([1, 0, 0])),
+        ("theorem_det", lambda det: det + 1),
+    ],
+    ids=["inverse", "det"],
+)
+def test_exit_code_oracle_mismatch(capsys, monkeypatch, target, perturb):
+    import meetjoin.cli as cli
+
+    closed_form = getattr(cli, target)
+    monkeypatch.setattr(cli, target, lambda *args: perturb(closed_form(*args)))
+    code, _, err = run(capsys, "analyze", "--divisors", "--set", "1", "2", "3", "--family", "id")
+    assert code == 5
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_family_row_count_checked(capsys, tmp_path):

@@ -11,14 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meetjoin.errors import DimensionError, SingularError
-from meetjoin.matrix import (
-    Matrix,
-    det_oracle,
-    hadamard,
-    inverse_oracle,
-    multiply,
-    rank_oracle,
-)
+from meetjoin.matrix import Matrix
 from meetjoin.scalar import ONE, ZERO, Scalar
 
 from oracles import naive_det, naive_inverse, naive_rank
@@ -67,7 +60,6 @@ def test_matmul_shapes_and_values():
     a = Matrix([[1, 2], [3, 4]])
     b = Matrix([[0, 1], [1, 0]])
     assert a @ b == Matrix([[2, 1], [4, 3]])
-    assert multiply(a, b) == a @ b
     with pytest.raises(DimensionError):
         a @ Matrix([[1, 2, 3]])
 
@@ -76,7 +68,6 @@ def test_hadamard_and_addition():
     a = Matrix([[1, 2], [3, 4]])
     b = Matrix([[5, 6], [7, 8]])
     assert a.hadamard(b) == Matrix([[5, 12], [21, 32]])
-    assert hadamard(a, b) == a.hadamard(b)
     assert a + b == Matrix([[6, 8], [10, 12]])
     assert b - a == Matrix([[4, 4], [4, 4]])
     assert -a == Matrix([[-1, -2], [-3, -4]])
@@ -126,13 +117,6 @@ def test_str_alignment():
     assert len(lines) == 2
     assert lines[0].startswith("[") and lines[0].endswith("]")
     assert len(lines[0]) == len(lines[1])
-
-
-def test_module_level_oracles_delegate():
-    m = Matrix([[1, 1], [1, 2]])
-    assert det_oracle(m) == m.det()
-    assert rank_oracle(m) == m.rank()
-    assert inverse_oracle(m) == m.inverse()
 
 
 @settings(max_examples=60, deadline=None)

@@ -126,9 +126,11 @@ def test_divisor_backend_matches_scans():
 
 def test_divisor_backend_rejects_nonpositive():
     d = DivisorLattice()
-    for bad in (0, -4, "3"):
+    for bad in (0, -4, "3", True):
         with pytest.raises(UnknownElementError):
             d.check_element(bad)
+    with pytest.raises(UnknownElementError):
+        Subset(d, [True, 2])
 
 
 def test_order_axioms_on_random_posets():

@@ -34,7 +34,7 @@ def test_parse_imaginary_forms():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x", "1.5", "2+", "i2", "1//2", "3 + i"):
+    for bad in ("", "x", "1.5", "2+", "i2", "1//2", "3 + i", "1/0"):
         with pytest.raises(ParseError):
             Scalar.parse(bad)
 
