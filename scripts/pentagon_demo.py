@@ -63,7 +63,7 @@ def main():
 
     rr = rank_report(subset, family, args.mode)
     print(f"zero diagonal recursion values: k = {rr.k}")
-    print(f"rank bounds [{rr.lower}, {rr.upper}], exact rank {rr.exact}")
+    print(f"rank bounds [{rr.lower}, {rr.upper}], exact rank {matrix.rank()}")
     print(f"determinant: {theorem_det(subset, family, args.mode)}")
 
 

@@ -31,8 +31,6 @@ from .formats import (
 from .matrix import Matrix
 from .numtheory import make_family
 from .posets import (
-    MEET,
-    ClosureSet,
     DivisorLattice,
     OrderBackend,
     Subset,
@@ -40,15 +38,8 @@ from .posets import (
     is_closed,
     mobius_matrix,
 )
-from .randomcheck import inverse_mismatch, run_verify
-from .rowadjusted import (
-    FunctionFamily,
-    build_matrix,
-    psi_table,
-    rank_report,
-    theorem_det,
-    theorem_inverse,
-)
+from .randomcheck import check_closed, run_verify
+from .rowadjusted import FunctionFamily, build_matrix
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -168,28 +159,26 @@ def _read_file(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+def _divisor_members(tokens) -> list[int]:
+    members = []
+    for token in tokens:
+        try:
+            members.append(int(token))
+        except (TypeError, ValueError):
+            raise ParseError(f"divisor element {token!r} is not an integer") from None
+    return members
+
+
 def _resolve_backend(args) -> tuple[OrderBackend, str, list]:
     if args.divisors:
-        members = []
-        if args.set:
-            for token in _set_tokens(args.set):
-                try:
-                    members.append(int(token))
-                except ValueError:
-                    raise ParseError(f"divisor element {token!r} is not an integer") from None
+        members = _divisor_members(_set_tokens(args.set)) if args.set else []
         if not members:
             raise ParseError("--divisors needs --set with at least one integer")
         return DivisorLattice(), "divisors", members
     spec = parse_poset_file(_read_file(args.poset))
     members = list(_set_tokens(args.set)) if args.set else list(spec.members)
     if isinstance(spec.backend, DivisorLattice):
-        converted = []
-        for token in members:
-            try:
-                converted.append(int(token))
-            except (TypeError, ValueError):
-                raise ParseError(f"divisor element {token!r} is not an integer") from None
-        members = converted
+        members = _divisor_members(members)
     return spec.backend, "poset", members
 
 
@@ -296,31 +285,25 @@ def cmd_analyze(args) -> int:
         out.emit()
         return EXIT_OK
 
-    report = rank_report(subset, family, mode)
-    det = theorem_det(subset, family, mode)
-    oracle_det = matrix.det()
-    if det != oracle_det:
-        raise OracleMismatchError(
-            f"closed-form determinant {det} but elimination gives {oracle_det}"
-        )
-    out.kv("k", report.k)
-    out.kv("rank_lower", report.lower)
-    out.kv("rank_upper", report.upper)
-    out.kv("rank_exact", report.exact)
+    result = check_closed(subset, family, mode, matrix)
+    if result.problems:
+        raise OracleMismatchError(next(iter(result.problems.values())))
+    rank, det = result.rank, result.det
+    out.kv("k", rank.k)
+    out.kv("rank_lower", rank.lower)
+    out.kv("rank_upper", rank.upper)
+    out.kv("rank_exact", result.exact)
     out.kv("det", det)
     out.text()
-    out.text(f"zero diagonal recursion values: k = {report.k}")
-    out.text(f"rank bounds: [{report.lower}, {report.upper}], exact rank: {report.exact}")
+    out.text(f"zero diagonal recursion values: k = {rank.k}")
+    out.text(f"rank bounds: [{rank.lower}, {rank.upper}], exact rank: {result.exact}")
     out.text(f"determinant: {det}")
 
-    invertible = not det.is_zero
+    inverse = result.inverse
+    invertible = inverse is not None
     out.kv("invertible", str(invertible).lower())
     out.text(f"invertible: {'yes' if invertible else 'no'}")
     if invertible:
-        inverse = theorem_inverse(subset, family, mode)
-        problem = inverse_mismatch(matrix, inverse)
-        if problem:
-            raise OracleMismatchError(problem)
         if config.column_adjusted:
             inverse = inverse.transpose()
         out.matrix("inverse", "inverse", inverse)

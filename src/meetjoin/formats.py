@@ -198,9 +198,5 @@ def render_matrix_machine(matrix: Matrix) -> list[str]:
     ]
 
 
-def render_matrix_human(matrix: Matrix) -> str:
-    return str(matrix)
-
-
 def render_elements(elements: Sequence) -> str:
     return " ".join(str(e) for e in elements)

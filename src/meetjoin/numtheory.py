@@ -8,8 +8,9 @@ right tool.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .errors import DomainError, MissingValueError
 from .matrix import Matrix
@@ -111,6 +112,12 @@ def make_family(spec: str, n: int, elements: Sequence) -> FunctionFamily:
         for x in elements:
             if not isinstance(x, int):
                 raise DomainError(f"family {spec!r} needs integer elements, got {x!r}")
+    if spec.startswith("pow:"):
+        # x^r has floor(r*log10 x) + 1 digits: refuse what could not be printed
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        top = max((abs(x) for x in elements), default=0)
+        if limit and top > 1 and r * math.log10(top) >= limit:
+            raise DomainError(f"{spec!r} gives {top}^{r}, more than {limit} digits")
     return FunctionFamily.from_callable(n, fn, elements)
 
 

@@ -234,11 +234,6 @@ class FinitePoset(OrderBackend):
         return f"FinitePoset({len(self.elements)} elements, {len(self.covers)} covers)"
 
 
-def build_poset(covers: Iterable[tuple[str, str]], elements: Sequence[str] | None = None) -> FinitePoset:
-    """Build a finite poset from cover pairs (and an optional element list)."""
-    return FinitePoset(covers, elements)
-
-
 def linear_extension(backend: OrderBackend, items: Sequence) -> tuple:
     """Sort distinct items into a linear extension of the backend order.
 

@@ -1,8 +1,10 @@
 """Seeded random instances and the property battery behind `verify`.
 
 Every closed-form result in `rowadjusted` is replayed here against the
-elimination oracles on pseudo-random instances. Generation is fully
-driven by one `random.Random`, so a seed reproduces the exact run.
+elimination oracles on pseudo-random instances; `check_closed` is the one
+place a closed set's det, rank and inverse meet elimination, for `verify`
+and `analyze` alike. Generation is fully driven by one `random.Random`,
+so a seed reproduces the exact run.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .errors import (
     NoJoinError,
     NoMeetError,
     NotSortedError,
-    OracleMismatchError,
     SingularError,
 )
 from .matrix import Matrix
@@ -35,6 +36,7 @@ from .posets import (
 )
 from .rowadjusted import (
     FunctionFamily,
+    RankReport,
     build_matrix,
     factorize,
     ordinary_rank,
@@ -212,22 +214,53 @@ def _psi_reconstructs(inst: Instance, closure: ClosureSet, grid: Matrix) -> str 
     return None
 
 
-def inverse_mismatch(matrix: Matrix, inverse: Matrix) -> str | None:
-    """Check a closed-form inverse against the elimination oracle.
+@dataclass(frozen=True)
+class ClosedCheck:
+    """Closed forms of one closed instance: `det`, `rank` and `inverse` (None
+    when det is zero), with `exact`, the rank by elimination, and `problems`,
+    each failed check's message in the order det, rank, inverse."""
 
-    Returns a description of the first failed check (B*M = M*B = I, then
-    equality with `Matrix.inverse`, then elimination finding an inverse at
-    all), or None when the inverse passes them all.
+    det: Scalar
+    rank: RankReport
+    exact: int
+    inverse: Matrix | None
+    problems: dict
+
+
+def check_closed(subset: Subset, family: FunctionFamily, mode: str, matrix: Matrix) -> ClosedCheck:
+    """Evaluate the closed forms of a closed set and check each against
+    elimination on `matrix`, its row-adjusted matrix.
+
+    Every oracle (`Matrix.det`, `Matrix.rank`, `Matrix.inverse`) runs at
+    most once. The closed-form det is the product of the diagonal
+    recursion values, so it alone decides whether the inverse exists.
     """
-    ident = Matrix.identity(matrix.rows)
-    if inverse @ matrix != ident or matrix @ inverse != ident:
-        return "closed-form inverse fails B*M = M*B = I"
-    try:
-        if inverse != matrix.inverse():
-            return "closed-form inverse differs from elimination inverse"
-    except SingularError:
-        return "all recursion diagonals nonzero yet elimination found no inverse"
-    return None
+    problems = {}
+    det, oracle_det = theorem_det(subset, family, mode), matrix.det()
+    if det != oracle_det:
+        problems["det_theorem"] = f"closed-form determinant {det} but elimination gives {oracle_det}"
+    rank, exact = rank_report(subset, family, mode), matrix.rank()
+    if not rank.lower <= exact <= rank.upper:
+        problems["rank_trichotomy"] = (
+            f"exact rank {exact} escapes the predicted interval [{rank.lower}, {rank.upper}]"
+        )
+    inverse = None
+    if det.is_zero:
+        if not oracle_det.is_zero:
+            problems["inverse_iff"] = "zero recursion diagonal but nonzero determinant"
+    else:
+        try:
+            inverse = theorem_inverse(subset, family, mode)
+            ident = Matrix.identity(matrix.rows)
+            if inverse @ matrix != ident or matrix @ inverse != ident:
+                problems["inverse_iff"] = "closed-form inverse fails B*M = M*B = I"
+            elif inverse != matrix.inverse():
+                problems["inverse_iff"] = "closed-form inverse differs from elimination inverse"
+        except SingularError:
+            problems["inverse_iff"] = "all recursion diagonals nonzero yet elimination found no inverse"
+        except MeetJoinError as exc:
+            problems["inverse_iff"] = f"unexpected {exc}"
+    return ClosedCheck(det, rank, exact, inverse, problems)
 
 
 def check_instance(
@@ -303,37 +336,11 @@ def check_instance(
     if not is_closed(subset, mode):
         return
 
-    report.tally("det_theorem")
-    closed_det = theorem_det(subset, family, mode)
-    if closed_det != matrix.det():
-        report.fail(
-            "det_theorem", case, inst.label,
-            f"closed form gave {closed_det}, elimination gave {matrix.det()}",
-        )
-
-    report.tally("rank_trichotomy")
-    try:
-        rank_report(subset, family, mode)
-    except OracleMismatchError as exc:
-        report.fail("rank_trichotomy", case, inst.label, str(exc))
-
-    report.tally("inverse_iff")
-    diag = psi_table(subset, family, mode, ClosureSet.from_subset(subset, mode)).diagonal(subset)
-    if all(not v.is_zero for v in diag):
-        try:
-            inv = theorem_inverse(subset, family, mode)
-        except MeetJoinError as exc:
-            report.fail("inverse_iff", case, inst.label, f"unexpected {exc}")
-        else:
-            problem = inverse_mismatch(matrix, inv)
-            if problem:
-                report.fail("inverse_iff", case, inst.label, problem)
-    else:
-        if not matrix.det().is_zero:
-            report.fail(
-                "inverse_iff", case, inst.label,
-                "zero recursion diagonal but nonzero determinant",
-            )
+    closed = check_closed(subset, family, mode, matrix)
+    for name in ("det_theorem", "rank_trichotomy", "inverse_iff"):
+        report.tally(name)
+        if name in closed.problems:
+            report.fail(name, case, inst.label, closed.problems[name])
 
     if mode == MEET:
         report.tally("psi_from_matrix")
@@ -347,10 +354,12 @@ def check_instance(
 
     if inst.identical_rows:
         report.tally("ordinary_rank")
-        try:
-            ordinary_rank(subset, inst.family.table(0), mode)
-        except OracleMismatchError as exc:
-            report.fail("ordinary_rank", case, inst.label, str(exc))
+        predicted = ordinary_rank(subset, inst.family.table(0), mode)
+        if predicted != closed.exact:
+            report.fail(
+                "ordinary_rank", case, inst.label,
+                f"predicted rank {predicted} but elimination found {closed.exact}",
+            )
 
 
 def _pentagon() -> tuple[Subset, FunctionFamily]:
@@ -380,20 +389,22 @@ def check_attainment(report: VerifyReport):
     subset = Subset(DivisorLattice(), [1, 2, 3, 5, 7])
     family = FunctionFamily([{d: ONE for d in subset.members}] * 5)
     rr = rank_report(subset, family, MEET)
+    exact = build_matrix(subset, family, MEET).rank()
     report.tally("attainment_lower")
-    if not (rr.k == 4 and rr.exact == subset.n - rr.k == rr.lower):
+    if not (rr.k == 4 and exact == subset.n - rr.k == rr.lower):
         report.fail(
             "attainment_lower", 0, "constant family on {1,2,3,5,7}",
-            f"expected rank to hit the lower bound 1 with k=4, got {rr}",
+            f"expected rank to hit the lower bound 1 with k=4, got {rr}, exact rank {exact}",
         )
 
     pent_subset, pent_family = _pentagon()
     rr = rank_report(pent_subset, pent_family, MEET)
+    exact = build_matrix(pent_subset, pent_family, MEET).rank()
     report.tally("attainment_upper")
-    if not (rr.k == 4 and rr.exact == 4 == rr.upper):
+    if not (rr.k == 4 and exact == 4 == rr.upper):
         report.fail(
             "attainment_upper", 0, "pentagon lattice instance",
-            f"expected rank to hit the upper bound 4 with k=4, got {rr}",
+            f"expected rank to hit the upper bound 4 with k=4, got {rr}, exact rank {exact}",
         )
 
 

@@ -8,10 +8,11 @@ is always bit-exact and no tolerance parameter exists anywhere.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _COMPLEX_RE = re.compile(rf"(?P<re>{_RAT})(?P<im>[+-](?:\d+(?:/\d+)?)?)i")
@@ -48,6 +49,8 @@ class Scalar:
                 return cls(Fraction(token))
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in scalar: {text!r}") from None
+        except ValueError:  # past the int-to-str digit limit
+            raise ParseError(f"scalar of {len(token)} characters has too many digits") from None
         raise ParseError(f"not a scalar: {text!r}")
 
     @property
@@ -122,18 +125,21 @@ class Scalar:
         return hash((self.real, self.imag))
 
     def __str__(self):
-        if not self.imag:
-            return str(self.real)
-        if self.imag == 1:
-            imag = "i"
-        elif self.imag == -1:
-            imag = "-i"
-        else:
-            imag = f"{self.imag}i"
-        if not self.real:
-            return imag
-        sign = "+" if self.imag > 0 else ""
-        return f"{self.real}{sign}{imag}"
+        try:
+            if not self.imag:
+                return str(self.real)
+            if self.imag == 1:
+                imag = "i"
+            elif self.imag == -1:
+                imag = "-i"
+            else:
+                imag = f"{self.imag}i"
+            if not self.real:
+                return imag
+            sign = "+" if self.imag > 0 else ""
+            return f"{self.real}{sign}{imag}"
+        except ValueError:  # past the int-to-str digit limit
+            raise DomainError(f"value has more than {sys.get_int_max_str_digits()} digits") from None
 
     def __repr__(self):
         return f"Scalar({self})"

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -221,12 +222,18 @@ def test_exit_code_parse_error(capsys, tmp_path):
     )
     assert code == 2
 
-    code, _, err = run(
-        capsys, "analyze", "--divisors", "--set", "1", "2", "3", "--family", "const:1/0",
-    )
-    assert code == 2
-    assert "error:" in err
-    assert "Traceback" not in err
+    for argv in (
+        ["--set", "1", "2", "3", "--family", "const:1/0"],
+        # values, or the det and inverse built from them, past the
+        # interpreter's int-to-str digit limit
+        ["--set", "1", "2", "3", "--family", "pow:99999"],
+        ["--set", *map(str, range(1, 15)), "--family", "pow:1000"],
+        ["--set", "1", "--family", "const:" + "1" * 5000],
+    ):
+        code, _, err = run(capsys, "analyze", "--divisors", *argv)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 def test_exit_code_structure_error(capsys, tmp_path):
@@ -256,14 +263,15 @@ def test_exit_code_missing_value(capsys, tmp_path):
     [
         ("theorem_inverse", lambda inverse: inverse + Matrix.diagonal([1, 0, 0])),
         ("theorem_det", lambda det: det + 1),
+        ("rank_report", lambda rr: replace(rr, lower=rr.upper + 1, upper=rr.upper + 1)),
     ],
-    ids=["inverse", "det"],
+    ids=["inverse", "det", "rank"],
 )
 def test_exit_code_oracle_mismatch(capsys, monkeypatch, target, perturb):
-    import meetjoin.cli as cli
+    import meetjoin.randomcheck as randomcheck
 
-    closed_form = getattr(cli, target)
-    monkeypatch.setattr(cli, target, lambda *args: perturb(closed_form(*args)))
+    closed_form = getattr(randomcheck, target)
+    monkeypatch.setattr(randomcheck, target, lambda *args: perturb(closed_form(*args)))
     code, _, err = run(capsys, "analyze", "--divisors", "--set", "1", "2", "3", "--family", "id")
     assert code == 5
     assert err.startswith("error: ")
@@ -331,7 +339,8 @@ def test_console_script_installed(capsys, tmp_path):
     ``meetjoin = "meetjoin.cli:main"``, the target imports as
     ``meetjoin.cli.main``, and the launcher pip writes for that entry,
     put on a temporary PATH, reproduces in-process output and passes
-    the exit code of ``main()`` through ``sys.exit``.
+    the exit code of ``main()`` through ``sys.exit``; so does
+    ``python -m meetjoin``.
 
     Checked in addition wherever the ``meetjoin`` distribution is
     installed: its metadata declares the same entry, and the
@@ -353,11 +362,11 @@ def test_console_script_installed(capsys, tmp_path):
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
     )
 
-    def check_runs(script: str) -> None:
-        ok = subprocess.run([script, *argv], capture_output=True, env=env,
+    def check_runs(*command: str) -> None:
+        ok = subprocess.run([*command, *argv], capture_output=True, env=env,
                             timeout=60)
         assert (ok.returncode, ok.stdout, ok.stderr) == (0, expected, b"")
-        bad = subprocess.run([script, "analyze", "--divisors", "--set", "x"],
+        bad = subprocess.run([*command, "analyze", "--divisors", "--set", "x"],
                              capture_output=True, env=env, timeout=60)
         assert bad.returncode == 2
         assert b"error:" in bad.stderr
@@ -369,6 +378,7 @@ def test_console_script_installed(capsys, tmp_path):
     launcher = shutil.which("meetjoin", path=str(bin_dir))
     assert launcher is not None
     check_runs(launcher)
+    check_runs(sys.executable, "-m", "meetjoin")
 
     try:
         dist = importlib.metadata.distribution("meetjoin")

@@ -22,7 +22,6 @@ from meetjoin.posets import (
     DivisorLattice,
     FinitePoset,
     Subset,
-    build_poset,
     closed_hull,
     closure_set,
     incidence_matrix,
@@ -71,7 +70,7 @@ def test_pentagon_meet_join(pentagon):
 
 
 def test_single_element_poset():
-    p = build_poset([], elements=["a"])
+    p = FinitePoset([], elements=["a"])
     assert p.leq_pairs() == frozenset({("a", "a")})
     assert p.meet("a", "a") == "a"
 

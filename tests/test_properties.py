@@ -160,13 +160,15 @@ def test_closed_set_theorems(inst):
     assert det == matrix.det()
 
     rr = rank_report(subset, family, mode)
+    exact = matrix.rank()
+    assert rr.lower <= exact <= rr.upper
     n = subset.n
     if matrix.is_zero():
-        assert rr.exact == 0
+        assert exact == 0
     elif rr.k == 0:
-        assert rr.exact == n
+        assert exact == n
     else:
-        assert n - rr.k <= rr.exact <= n - 1
+        assert n - rr.k <= exact <= n - 1
 
     diag = psi_table(
         subset, family, mode, ClosureSet.from_subset(subset, mode)

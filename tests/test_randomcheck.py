@@ -1,6 +1,7 @@
 """The seeded battery itself: determinism, coverage, fault injection."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -91,3 +92,22 @@ def test_attainment_constructions():
     check_attainment(report)
     assert report.ok
     assert report.counts == {"attainment_lower": 1, "attainment_upper": 1}
+
+
+def test_closed_form_faults_are_caught(monkeypatch):
+    import meetjoin.randomcheck as randomcheck
+
+    clean = run_verify(seed=1, cases=20)
+    det, rank = randomcheck.theorem_det, randomcheck.rank_report
+    # doubling keeps zero and nonzero determinants apart, so only the
+    # determinant check itself can see it
+    monkeypatch.setattr(randomcheck, "theorem_det", lambda *args: det(*args) * 2)
+    monkeypatch.setattr(
+        randomcheck, "rank_report",
+        lambda *args: replace(rank(*args), lower=-2, upper=-1),
+    )
+    report = run_verify(seed=1, cases=20)
+    assert report.counts == clean.counts
+    failed = {f.check for f in report.failures}
+    assert {"det_theorem", "rank_trichotomy"} <= failed
+    assert failed <= {"det_theorem", "rank_trichotomy", "attainment_lower", "attainment_upper"}

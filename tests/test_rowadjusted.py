@@ -26,6 +26,7 @@ from meetjoin.posets import (
 )
 from meetjoin.rowadjusted import (
     FunctionFamily,
+    RankReport,
     build_matrix,
     factorize,
     ordinary_rank,
@@ -248,17 +249,64 @@ def test_theorem_det_requires_closed():
 def test_rank_report_examples(pentagon):
     subset, family = pentagon
     rr = rank_report(subset, family, MEET)
-    assert (rr.k, rr.lower, rr.upper, rr.exact) == (4, 1, 4, 4)
-    assert rr.exact == naive_rank(PENTAGON_MATRIX)
+    assert (rr.k, rr.lower, rr.upper) == (4, 1, 4)
+    assert build_matrix(subset, family, MEET).rank() == 4 == naive_rank(PENTAGON_MATRIX)
 
     zeros = FunctionFamily([{d: 0 for d in (1, 2, 4)}] * 3)
     chain = Subset(DivisorLattice(), [1, 2, 4])
     rr = rank_report(chain, zeros, MEET)
-    assert (rr.lower, rr.upper, rr.exact) == (0, 0, 0)
+    assert (rr.lower, rr.upper) == (0, 0)
+    assert build_matrix(chain, zeros, MEET).rank() == 0
 
     fam = id_family([1, 2, 3])
     rr = rank_report(Subset(DivisorLattice(), [1, 2, 3]), fam, MEET)
-    assert (rr.k, rr.exact) == (0, 3)
+    assert (rr.k, rr.lower, rr.upper) == (0, 3, 3)
+    assert build_matrix(Subset(DivisorLattice(), [1, 2, 3]), fam, MEET).rank() == 3
+
+
+def test_closed_forms_need_no_elimination(monkeypatch, pentagon):
+    def no_elimination(self):
+        raise AssertionError("a closed form ran elimination")
+
+    for name in ("det", "rank", "inverse"):
+        monkeypatch.setattr(Matrix, name, no_elimination)
+
+    subset, family = pentagon
+    assert theorem_det(subset, family, MEET) == ZERO
+    assert rank_report(subset, family, MEET) == RankReport(k=4, lower=1, upper=4)
+
+    chain = Subset(DivisorLattice(), [1, 2, 3])
+    fam = id_family([1, 2, 3])
+    assert theorem_det(chain, fam, MEET) == Scalar(2)
+    assert rank_report(chain, fam, MEET) == RankReport(k=0, lower=3, upper=3)
+    assert theorem_inverse(chain, fam, MEET) == Matrix(
+        [
+            [Fraction(5, 2), -1, Fraction(-1, 2)],
+            [-1, 1, 0],
+            [Fraction(-1, 2), 0, Fraction(1, 2)],
+        ]
+    )
+    assert ordinary_rank(chain, {1: 1, 2: 2, 3: 3}, MEET) == 3
+
+    # all-zero family: the masked grid L, and with it the matrix, is zero
+    zeros = Subset(DivisorLattice(), [1, 2, 4])
+    assert rank_report(zeros, FunctionFamily([{d: 0 for d in (1, 2, 4)}] * 3), MEET) == (
+        RankReport(k=3, lower=0, upper=0)
+    )
+    assert ordinary_rank(zeros, {1: 0, 2: 0, 4: 0}, MEET) == 0
+    assert ordinary_rank(zeros, {1: 9, 2: 9, 4: 9}, MEET) == 1
+    # zero diagonal everywhere, yet L (and the matrix) is not zero
+    pair = Subset(DivisorLattice(), [1, 2])
+    assert rank_report(pair, FunctionFamily([{1: 0, 2: 0}, {1: 1, 2: 1}]), MEET) == (
+        RankReport(k=2, lower=0, upper=1)
+    )
+
+    jchain = Subset(DivisorLattice(), [2, 4, 8])
+    jfam = id_family([2, 4, 8])
+    assert theorem_det(jchain, jfam, JOIN) == Scalar(64)
+    assert rank_report(jchain, jfam, JOIN) == RankReport(k=0, lower=3, upper=3)
+    assert theorem_inverse(jchain, jfam, JOIN) == naive_inverse(build_matrix(jchain, jfam, JOIN))
+    assert ordinary_rank(jchain, {2: 2, 4: 4, 8: 8}, JOIN) == 3
 
 
 def test_theorem_inverse_divisor_pair():
