@@ -10,7 +10,7 @@ agreeing exactly, plus the running totient product.
 
 import argparse
 
-from meetjoin import DivisorLattice, Subset, theorem_det
+from meetjoin import DivisorLattice, Subset, closed_psi, theorem_det
 from meetjoin.numtheory import bege_det, bege_matrix, make_family, totient
 
 
@@ -25,7 +25,7 @@ def main():
         fam = make_family("id", n, list(range(1, n + 1)))
         subset = Subset(DivisorLattice(), list(range(1, n + 1)))
         by_convolution = bege_det(n, fam)
-        by_recursion = theorem_det(subset, fam, "meet")
+        by_recursion = theorem_det(closed_psi(subset, fam, "meet"))
         by_elimination = bege_matrix(n, fam).det()
         phi_product *= totient(n)
         assert by_convolution == by_recursion == by_elimination

@@ -16,6 +16,7 @@ from meetjoin import (
     FunctionFamily,
     Subset,
     build_matrix,
+    closed_psi,
     factorize,
     rank_report,
     theorem_det,
@@ -61,10 +62,11 @@ def main():
     print()
     assert fact.product == matrix
 
-    rr = rank_report(subset, family, args.mode)
+    table = closed_psi(subset, family, args.mode)
+    rr = rank_report(table)
     print(f"zero diagonal recursion values: k = {rr.k}")
     print(f"rank bounds [{rr.lower}, {rr.upper}], exact rank {matrix.rank()}")
-    print(f"determinant: {theorem_det(subset, family, args.mode)}")
+    print(f"determinant: {theorem_det(table)}")
 
 
 if __name__ == "__main__":

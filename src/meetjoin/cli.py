@@ -39,7 +39,7 @@ from .posets import (
     mobius_matrix,
 )
 from .randomcheck import check_closed, run_verify
-from .rowadjusted import FunctionFamily, build_matrix
+from .rowadjusted import FunctionFamily, build_matrix, closed_psi
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -155,7 +155,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
@@ -285,7 +285,7 @@ def cmd_analyze(args) -> int:
         out.emit()
         return EXIT_OK
 
-    result = check_closed(subset, family, mode, matrix)
+    result = check_closed(closed_psi(subset, family, mode), matrix)
     if result.problems:
         raise OracleMismatchError(next(iter(result.problems.values())))
     rank, det = result.rank, result.det

@@ -31,13 +31,16 @@ from .posets import (
     Subset,
     closed_hull,
     closure_set,
+    incidence_matrix,
     is_closed,
     linear_extension,
 )
 from .rowadjusted import (
     FunctionFamily,
+    PsiTable,
     RankReport,
     build_matrix,
+    closed_psi,
     factorize,
     ordinary_rank,
     psi_from_matrix,
@@ -227,19 +230,19 @@ class ClosedCheck:
     problems: dict
 
 
-def check_closed(subset: Subset, family: FunctionFamily, mode: str, matrix: Matrix) -> ClosedCheck:
-    """Evaluate the closed forms of a closed set and check each against
-    elimination on `matrix`, its row-adjusted matrix.
+def check_closed(table: PsiTable, matrix: Matrix) -> ClosedCheck:
+    """Evaluate the closed forms of a closed set's `closed_psi` table and
+    check each against elimination on `matrix`, its row-adjusted matrix.
 
     Every oracle (`Matrix.det`, `Matrix.rank`, `Matrix.inverse`) runs at
     most once. The closed-form det is the product of the diagonal
     recursion values, so it alone decides whether the inverse exists.
     """
     problems = {}
-    det, oracle_det = theorem_det(subset, family, mode), matrix.det()
+    det, oracle_det = theorem_det(table), matrix.det()
     if det != oracle_det:
         problems["det_theorem"] = f"closed-form determinant {det} but elimination gives {oracle_det}"
-    rank, exact = rank_report(subset, family, mode), matrix.rank()
+    rank, exact = rank_report(table), matrix.rank()
     if not rank.lower <= exact <= rank.upper:
         problems["rank_trichotomy"] = (
             f"exact rank {exact} escapes the predicted interval [{rank.lower}, {rank.upper}]"
@@ -250,7 +253,7 @@ def check_closed(subset: Subset, family: FunctionFamily, mode: str, matrix: Matr
             problems["inverse_iff"] = "zero recursion diagonal but nonzero determinant"
     else:
         try:
-            inverse = theorem_inverse(subset, family, mode)
+            inverse = theorem_inverse(table)
             ident = Matrix.identity(matrix.rows)
             if inverse @ matrix != ident or matrix @ inverse != ident:
                 problems["inverse_iff"] = "closed-form inverse fails B*M = M*B = I"
@@ -336,7 +339,8 @@ def check_instance(
     if not is_closed(subset, mode):
         return
 
-    closed = check_closed(subset, family, mode, matrix)
+    table = closed_psi(subset, family, mode)
+    closed = check_closed(table, matrix)
     for name in ("det_theorem", "rank_trichotomy", "inverse_iff"):
         report.tally(name)
         if name in closed.problems:
@@ -345,8 +349,7 @@ def check_instance(
     if mode == MEET:
         report.tally("psi_from_matrix")
         recovered = psi_from_matrix(matrix, subset)
-        self_fact = factorize(subset, family, mode, ClosureSet.from_subset(subset, mode))
-        if recovered != self_fact.masked_psi:
+        if recovered != incidence_matrix(subset, table.closure).hadamard(table.grid):
             report.fail(
                 "psi_from_matrix", case, inst.label,
                 "grid recovered from the matrix differs from the factorization grid",
@@ -388,7 +391,7 @@ def check_attainment(report: VerifyReport):
     """
     subset = Subset(DivisorLattice(), [1, 2, 3, 5, 7])
     family = FunctionFamily([{d: ONE for d in subset.members}] * 5)
-    rr = rank_report(subset, family, MEET)
+    rr = rank_report(closed_psi(subset, family, MEET))
     exact = build_matrix(subset, family, MEET).rank()
     report.tally("attainment_lower")
     if not (rr.k == 4 and exact == subset.n - rr.k == rr.lower):
@@ -398,7 +401,7 @@ def check_attainment(report: VerifyReport):
         )
 
     pent_subset, pent_family = _pentagon()
-    rr = rank_report(pent_subset, pent_family, MEET)
+    rr = rank_report(closed_psi(pent_subset, pent_family, MEET))
     exact = build_matrix(pent_subset, pent_family, MEET).rank()
     report.tally("attainment_upper")
     if not (rr.k == 4 and exact == 4 == rr.upper):

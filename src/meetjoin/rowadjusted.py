@@ -18,9 +18,11 @@ det is the product of its diagonal and the inverse is mobius @ L^-1
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Mapping, Sequence
 
 from .errors import (
+    AdmissibilityError,
     DimensionError,
     MissingValueError,
     NotClosedError,
@@ -79,17 +81,16 @@ class FunctionFamily:
 
 @dataclass(frozen=True)
 class PsiTable:
-    """Recursion values for every row over a closure set, as an n x m grid."""
+    """Recursion values for every row of `subset` over a closure set, n x m."""
 
+    subset: Subset
     mode: str
     closure: ClosureSet
     grid: Matrix
 
-    def diagonal(self, subset: Subset) -> list[Scalar]:
+    def diagonal(self) -> list[Scalar]:
         """Values at the subset's own members, in row order."""
-        return [
-            self.grid[i, self.closure.index(x)] for i, x in enumerate(subset.members)
-        ]
+        return [self.grid[i, self.closure.index(x)] for i, x in enumerate(self.subset.members)]
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def psi_table(
         grid = _psi_mobius(family, closure)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return PsiTable(mode, closure, grid)
+    return PsiTable(subset, mode, closure, grid)
 
 
 def _walk(closure: ClosureSet) -> list[tuple[int, list[int]]]:
@@ -257,30 +258,37 @@ def psi_from_matrix(matrix: Matrix, subset: Subset) -> Matrix:
     elimination is needed: the result is matrix @ mobius. Equals the
     `masked_psi` of `factorize`.
     """
-    if not is_closed(subset, MEET):
-        raise NotClosedError("recovering the recursion grid needs a meet-closed subset")
+    own = ClosureSet.from_subset(subset, MEET)
+    try:
+        own.validate_for(subset)
+    except AdmissibilityError:
+        raise NotClosedError("recovering the recursion grid needs a meet-closed subset") from None
     if matrix.rows != subset.n or matrix.cols != subset.n:
         raise DimensionError("matrix shape does not match the subset size")
-    mob = mobius_matrix(ClosureSet.from_subset(subset, MEET))
-    return matrix @ mob
+    return matrix @ mobius_matrix(own)
 
 
-def _closed_psi(subset: Subset, family: FunctionFamily, mode: str) -> PsiTable:
-    check_mode(mode)
+def closed_psi(subset: Subset, family: FunctionFamily, mode: str = MEET) -> PsiTable:
+    """Psi table of a closed set over the set itself (D = S), the input of
+    `theorem_det`, `rank_report`, `theta_table` and `theorem_inverse`."""
     if not is_closed(subset, mode):
         raise NotClosedError(f"the subset is not {mode} closed")
-    closure = ClosureSet.from_subset(subset, mode)
-    return psi_table(subset, family, mode, closure)
+    return psi_table(subset, family, mode, ClosureSet.from_subset(subset, mode))
 
 
-def theorem_det(subset: Subset, family: FunctionFamily, mode: str = MEET) -> Scalar:
+def _closed_diagonal(table: PsiTable) -> list[Scalar]:
+    """The diagonal of a table over its own subset, the one kind of table
+    whose diagonal is `grid[i, i]` and whose `_walk` indices are row indices;
+    any other (a larger closure set, the subset in another order) is refused."""
+    if table.closure.elements != table.subset.members:
+        raise NotClosedError(f"the Psi table is not over the {table.mode} closed subset itself")
+    return [table.grid[i, i] for i in range(table.subset.n)]
+
+
+def theorem_det(table: PsiTable) -> Scalar:
     """Determinant of the matrix of a closed set: product of the diagonal
     recursion values, no elimination involved."""
-    table = _closed_psi(subset, family, mode)
-    result = ONE
-    for value in table.diagonal(subset):
-        result = result * value
-    return result
+    return prod(_closed_diagonal(table), start=ONE)
 
 
 @dataclass(frozen=True)
@@ -296,20 +304,18 @@ class RankReport:
     upper: int
 
 
-def rank_report(subset: Subset, family: FunctionFamily, mode: str = MEET) -> RankReport:
-    """Rank trichotomy for a closed set, from the recursion table alone.
+def rank_report(table: PsiTable) -> RankReport:
+    """Rank trichotomy for a closed set, from its recursion table alone.
 
     The matrix L @ E^T (E unit-triangular) is zero iff L is; row i of L
     holds Psi at x_i and at the elements `_walk` relates to x_i."""
-    table = _closed_psi(subset, family, mode)
-    diag = table.diagonal(subset)
+    diag = _closed_diagonal(table)
     k = sum(1 for v in diag if v.is_zero)
-    n = subset.n
-    psi = table.grid
+    n = len(diag)
     if k == 0:
         lower = upper = n
     elif k == n and all(
-        psi[i, u].is_zero for i, related in _walk(table.closure) for u in related
+        table.grid[i, u].is_zero for i, related in _walk(table.closure) for u in related
     ):
         lower = upper = 0
     else:
@@ -317,34 +323,23 @@ def rank_report(subset: Subset, family: FunctionFamily, mode: str = MEET) -> Ran
     return RankReport(k=k, lower=lower, upper=upper)
 
 
-@dataclass(frozen=True)
-class ThetaTable:
-    """Theta = L^-1, the inverse of the masked recursion grid of a closed set.
+def theta_table(table: PsiTable) -> Matrix:
+    """Theta = L^-1, the inverse of the triangular masked recursion grid L
+    of a closed set.
 
-    The diagonal is the reciprocal of the diagonal recursion values. Meet
-    mode fills below the diagonal, join mode above; the rest is zero.
+    The diagonal is the reciprocal of the diagonal recursion values; meet
+    mode fills below it, join mode above, the rest is zero. Raises
+    SingularPsiError naming the first row whose diagonal value is zero.
     """
-
-    mode: str
-    grid: Matrix
-
-
-def theta_table(subset: Subset, family: FunctionFamily, mode: str = MEET) -> ThetaTable:
-    """Invert the triangular masked recursion grid L of a closed set.
-
-    Requires a closed subset with no zero diagonal recursion value;
-    raises SingularPsiError naming the first offending row otherwise.
-    """
-    table = _closed_psi(subset, family, mode)
-    diag = table.diagonal(subset)
+    diag = _closed_diagonal(table)
     for i, value in enumerate(diag):
         if value.is_zero:
             raise SingularPsiError(i)
 
-    # The masked grid L (incidence . psi) is triangular in the walk order,
-    # so L @ Theta = I is solved by substitution, one row of Theta at a time.
+    # L (incidence . psi) is triangular in the walk order, so L @ Theta = I
+    # is solved by substitution, one row of Theta at a time.
     psi = table.grid
-    n = subset.n
+    n = len(diag)
     theta = [[ZERO] * n for _ in range(n)]
     solved: list[int] = []
     for k, related in _walk(table.closure):
@@ -355,10 +350,10 @@ def theta_table(subset: Subset, family: FunctionFamily, mode: str = MEET) -> The
                 total = total + psi[k, u] * theta[u][j]
             theta[k][j] = -(total / diag[k])
         solved.append(k)
-    return ThetaTable(mode, Matrix(theta))
+    return Matrix(theta)
 
 
-def theorem_inverse(subset: Subset, family: FunctionFamily, mode: str = MEET) -> Matrix:
+def theorem_inverse(table: PsiTable) -> Matrix:
     """Inverse of the matrix of a closed set via the triangular recursion.
 
     Exists iff every diagonal recursion value is nonzero; otherwise raises
@@ -366,12 +361,12 @@ def theorem_inverse(subset: Subset, family: FunctionFamily, mode: str = MEET) ->
     Möbius matrix of the subset (its transpose in join mode) and Theta,
     never from elimination.
     """
-    theta = theta_table(subset, family, mode).grid
-    mob = mobius_matrix(ClosureSet.from_subset(subset, mode))
-    return (mob if mode == MEET else mob.transpose()) @ theta
+    theta = theta_table(table)
+    mob = mobius_matrix(table.closure)
+    return (mob if table.mode == MEET else mob.transpose()) @ theta
 
 
 def ordinary_rank(subset: Subset, table: Mapping, mode: str = MEET) -> int:
     """Rank of the one-function (ordinary) matrix of a closed set: exactly
     n minus the number of zero diagonal recursion values."""
-    return subset.n - rank_report(subset, FunctionFamily([table] * subset.n), mode).k
+    return subset.n - rank_report(closed_psi(subset, FunctionFamily([table] * subset.n), mode)).k

@@ -29,6 +29,7 @@ from meetjoin.posets import (
 from meetjoin.randomcheck import VerifyReport, check_attainment, random_instance
 from meetjoin.rowadjusted import (
     build_matrix,
+    closed_psi,
     factorize,
     psi_table,
     rank_report,
@@ -106,20 +107,20 @@ def pools():
             own = ClosureSet.from_subset(inst.subset, inst.mode)
             table = psi_table(inst.subset, inst.family, inst.mode, own)
             tables.append((inst, own, table.grid))
-            diag = table.diagonal(inst.subset)
+            diag = table.diagonal()
 
-            if theorem_det(inst.subset, inst.family, inst.mode) != matrix.det():
+            if theorem_det(table) != matrix.det():
                 problems["det"].append(inst.label)
 
             if all(not v.is_zero for v in diag):
-                inv = theorem_inverse(inst.subset, inst.family, inst.mode)
+                inv = theorem_inverse(table)
                 ident = Matrix.identity(inst.subset.n)
                 if inv @ matrix != ident or matrix @ inv != ident:
                     problems["inv"].append(inst.label)
             elif not matrix.det().is_zero:
                 problems["inv"].append(f"zero diagonal, nonzero det: {inst.label}")
 
-            rr = rank_report(inst.subset, inst.family, inst.mode)
+            rr = rank_report(table)
             exact = matrix.rank()
             n = inst.subset.n
             if matrix.is_zero():
@@ -233,7 +234,7 @@ def test_criterion_6_smith_bege_determinants():
         fam = make_family("id", n, list(range(1, n + 1)))
         subset = Subset(DivisorLattice(), list(range(1, n + 1)))
         closed = bege_det(n, fam)
-        ok = ok and closed == theorem_det(subset, fam, MEET) == bege_matrix(n, fam).det()
+        ok = ok and closed == theorem_det(closed_psi(subset, fam, MEET)) == bege_matrix(n, fam).det()
     elapsed = monotonic() - t0
     ok = ok and elapsed < 5.0
     report(6, ok, f"gcd-grid determinants: n=3 gives 2, n=6 gives 32, three routes agree for n<=12, {elapsed:.1f}s")

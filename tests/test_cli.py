@@ -1,7 +1,9 @@
 """Command-line behavior: outputs, formats, and exit codes."""
 
+import contextlib
 import importlib
 import importlib.metadata
+import io
 import os
 import shutil
 import subprocess
@@ -10,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meetjoin.cli import main
 from meetjoin.matrix import Matrix
@@ -222,6 +225,17 @@ def test_exit_code_parse_error(capsys, tmp_path):
     )
     assert code == 2
 
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe")
+    for argv in (
+        ["--poset", str(binary)],
+        ["--divisors", "--set", "1", "--functions", str(binary)],
+    ):
+        code, _, err = run(capsys, "analyze", *argv)
+        assert code == 2
+        assert err.startswith(f"error: cannot read {binary}: ")
+        assert "Traceback" not in err
+
     for argv in (
         ["--set", "1", "2", "3", "--family", "const:1/0"],
         # values, or the det and inverse built from them, past the
@@ -389,3 +403,89 @@ def test_console_script_installed(capsys, tmp_path):
     installed = shutil.which("meetjoin")
     assert installed is not None
     check_runs(installed)
+
+
+# Tokens the fuzzer builds files and flags from: divisors, poset labels,
+# scalars and junk, so that most runs get past parsing.
+FUZZ_TOKENS = st.sampled_from(
+    ["1", "2", "3", "4", "6", "12", "0", "-2", "a", "b", "c", "d", "x", "1/2", "2+i", "1/0", ""]
+)
+FUZZ_KEYWORDS = st.sampled_from(
+    ["elements:", "covers:", "set:", "over:", "f1:", "f2:", "f3:", "f4:", "@divisors", "#"]
+)
+FUZZ_COVERS = st.builds("{}<{}".format, FUZZ_TOKENS, FUZZ_TOKENS)
+
+
+@st.composite
+def fuzz_file(draw) -> bytes:
+    """A poset or family file: keyword lines from the token pool, raw
+    bytes (not always UTF-8), or both."""
+    lines = draw(
+        st.lists(
+            st.lists(st.one_of(FUZZ_KEYWORDS, FUZZ_TOKENS, FUZZ_COVERS), max_size=6)
+            .map(" ".join),
+            max_size=5,
+        )
+    )
+    text = "\n".join(lines).encode()
+    if draw(st.booleans()):
+        text += draw(st.binary(max_size=8))
+    return text
+
+
+@st.composite
+def fuzz_argv(draw, poset: str, family: str) -> list[str]:
+    command = draw(st.sampled_from(["matrix", "analyze", "closure", "mobius", "verify"]))
+    argv = [command]
+    if command == "verify":
+        seed, cases = draw(st.integers(-5, 10**6)), draw(st.integers(0, 2))
+        argv += ["--seed", str(seed), "--cases", str(cases)]
+    else:
+        argv += draw(st.sampled_from([["--divisors"], ["--poset", poset], []]))
+        members = draw(st.lists(FUZZ_TOKENS, max_size=4))
+        if members or draw(st.booleans()):
+            argv += ["--set", *members]
+        if command in ("matrix", "analyze"):
+            argv += draw(
+                st.sampled_from(
+                    [
+                        [],
+                        ["--family", "id"],
+                        ["--family", "pow:2"],
+                        ["--family", "pow:-1"],
+                        ["--family", "pow:99999"],
+                        ["--functions", family],
+                        ["--family", f"table:{family}"],
+                    ]
+                    + [["--family", f"const:{t}"] for t in ("1", "0", "1/2-i", "1/0", "z")]
+                )
+            )
+            if draw(st.booleans()):
+                argv.append("--column-adjusted")
+        argv += draw(st.sampled_from([[], ["--mode", "meet"], ["--mode", "join"]]))
+    argv += draw(st.sampled_from([[], ["--format", "human"], ["--format", "machine"]]))
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(FUZZ_TOKENS))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), fuzz_file(), fuzz_file())
+def test_cli_fuzz_exit_codes(fuzz_dir, data, poset_bytes, family_bytes):
+    poset, family = fuzz_dir / "fuzz.poset", fuzz_dir / "fuzz.family"
+    poset.write_bytes(poset_bytes)
+    family.write_bytes(family_bytes)
+    argv = data.draw(fuzz_argv(str(poset), str(family)))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse rejected the command line
+            assert exc.code == 2
+            return
+    assert code in (0, 2, 3, 4, 5)

@@ -18,7 +18,7 @@ from meetjoin.numtheory import (
     totient,
 )
 from meetjoin.posets import DivisorLattice, Subset
-from meetjoin.rowadjusted import theorem_det
+from meetjoin.rowadjusted import closed_psi, theorem_det
 from meetjoin.scalar import Scalar
 
 from oracles import naive_det, totient_by_count
@@ -145,7 +145,7 @@ def test_bege_det_three_routes_agree():
         fam = make_family("id", n, list(range(1, n + 1)))
         closed = bege_det(n, fam)
         subset = Subset(DivisorLattice(), list(range(1, n + 1)))
-        assert closed == theorem_det(subset, fam, "meet")
+        assert closed == theorem_det(closed_psi(subset, fam, "meet"))
         assert closed == bege_matrix(n, fam).det()
         phi_product = 1
         for i in range(1, n + 1):
@@ -159,7 +159,7 @@ def test_bege_det_power_family():
     n = 6
     fam = make_family("pow:2", n, list(range(1, n + 1)))
     subset = Subset(DivisorLattice(), list(range(1, n + 1)))
-    assert bege_det(n, fam) == theorem_det(subset, fam, "meet")
+    assert bege_det(n, fam) == theorem_det(closed_psi(subset, fam, "meet"))
     assert bege_det(n, fam) == bege_matrix(n, fam).det()
 
 

@@ -27,6 +27,7 @@ from meetjoin.posets import (
 from meetjoin.rowadjusted import (
     FunctionFamily,
     build_matrix,
+    closed_psi,
     factorize,
     ordinary_rank,
     psi_from_matrix,
@@ -156,10 +157,11 @@ def test_closed_set_theorems(inst):
     matrix = build_matrix(subset, family, mode)
     assert is_closed(subset, mode)
 
-    det = theorem_det(subset, family, mode)
+    table = closed_psi(subset, family, mode)
+    det = theorem_det(table)
     assert det == matrix.det()
 
-    rr = rank_report(subset, family, mode)
+    rr = rank_report(table)
     exact = matrix.rank()
     assert rr.lower <= exact <= rr.upper
     n = subset.n
@@ -170,11 +172,8 @@ def test_closed_set_theorems(inst):
     else:
         assert n - rr.k <= exact <= n - 1
 
-    diag = psi_table(
-        subset, family, mode, ClosureSet.from_subset(subset, mode)
-    ).diagonal(subset)
-    if all(not v.is_zero for v in diag):
-        inv = theorem_inverse(subset, family, mode)
+    if all(not v.is_zero for v in table.diagonal()):
+        inv = theorem_inverse(table)
         assert inv @ matrix == Matrix.identity(n)
         assert matrix @ inv == Matrix.identity(n)
         assert inv == matrix.inverse()

@@ -5,14 +5,19 @@ from dataclasses import replace
 
 import pytest
 
-from meetjoin.posets import JOIN, MEET, is_closed
+import meetjoin.rowadjusted as rowadjusted
+from meetjoin.cli import main
+from meetjoin.numtheory import make_family
+from meetjoin.posets import JOIN, MEET, DivisorLattice, Subset, is_closed
 from meetjoin.randomcheck import (
     CHECK_NAMES,
     VerifyReport,
     check_attainment,
+    check_closed,
     random_instance,
     run_verify,
 )
+from meetjoin.rowadjusted import build_matrix, closed_psi
 
 
 def test_instances_are_deterministic():
@@ -111,3 +116,26 @@ def test_closed_form_faults_are_caught(monkeypatch):
     failed = {f.check for f in report.failures}
     assert {"det_theorem", "rank_trichotomy"} <= failed
     assert failed <= {"det_theorem", "rank_trichotomy", "attainment_lower", "attainment_upper"}
+
+
+@pytest.mark.parametrize("mode, members", [(MEET, [1, 2, 3, 6]), (JOIN, [2, 4, 6, 12])])
+def test_closed_set_tabulates_psi_once(monkeypatch, capsys, mode, members):
+    calls = []
+    tabulate = rowadjusted.psi_table
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return tabulate(*args, **kwargs)
+
+    monkeypatch.setattr(rowadjusted, "psi_table", counted)
+    subset = Subset(DivisorLattice(), members)
+    family = make_family("id", subset.n, members)
+    checked = check_closed(closed_psi(subset, family, mode), build_matrix(subset, family, mode))
+    assert not checked.problems and checked.inverse is not None
+    assert len(calls) == 1
+
+    calls.clear()
+    argv = ["analyze", "--divisors", "--set", *map(str, members), "--mode", mode]
+    assert main(argv) == 0
+    assert "invertible: yes" in capsys.readouterr().out
+    assert len(calls) == 1

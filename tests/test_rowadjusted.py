@@ -28,6 +28,7 @@ from meetjoin.rowadjusted import (
     FunctionFamily,
     RankReport,
     build_matrix,
+    closed_psi,
     factorize,
     ordinary_rank,
     psi_from_matrix,
@@ -96,8 +97,7 @@ def test_family_from_callable():
 def test_psi_pentagon_diagonal(pentagon):
     subset, family = pentagon
     table = psi_table(subset, family, MEET)
-    diag = table.diagonal(subset)
-    assert diag == [ZERO, ONE, ZERO, ZERO, ZERO]
+    assert table.diagonal() == [ZERO, ONE, ZERO, ZERO, ZERO]
 
 
 def test_psi_single_element():
@@ -226,40 +226,47 @@ def test_psi_from_matrix_requires_closed():
 def test_theorem_det_examples(pentagon):
     chain = Subset(DivisorLattice(), [1, 2, 3])
     fam = id_family([1, 2, 3])
-    det = theorem_det(chain, fam, MEET)
+    det = theorem_det(closed_psi(chain, fam, MEET))
     assert det == Scalar(2)
     assert det == naive_det(build_matrix(chain, fam, MEET))
 
     subset, family = pentagon
-    assert theorem_det(subset, family, MEET) == ZERO
+    assert theorem_det(closed_psi(subset, family, MEET)) == ZERO
 
     jchain = Subset(DivisorLattice(), [2, 4, 8])
     jfam = id_family([2, 4, 8])
-    jdet = theorem_det(jchain, jfam, JOIN)
+    jdet = theorem_det(closed_psi(jchain, jfam, JOIN))
     assert jdet == Scalar(64)
     assert jdet == naive_det(build_matrix(jchain, jfam, JOIN))
 
 
 def test_theorem_det_requires_closed():
     subset = Subset(DivisorLattice(), [4, 6])
+    family = FunctionFamily([{2: 1, 4: 1, 6: 1}] * 2)
     with pytest.raises(NotClosedError):
-        theorem_det(subset, FunctionFamily([{4: 1, 6: 1}] * 2), MEET)
+        closed_psi(subset, family, MEET)
+    # a table over the closure {2, 4, 6} is not the subset's own table
+    table = psi_table(subset, family, MEET)
+    assert table.closure.elements == (2, 4, 6)
+    for closed_form in (theorem_det, rank_report, theta_table, theorem_inverse):
+        with pytest.raises(NotClosedError):
+            closed_form(table)
 
 
 def test_rank_report_examples(pentagon):
     subset, family = pentagon
-    rr = rank_report(subset, family, MEET)
+    rr = rank_report(closed_psi(subset, family, MEET))
     assert (rr.k, rr.lower, rr.upper) == (4, 1, 4)
     assert build_matrix(subset, family, MEET).rank() == 4 == naive_rank(PENTAGON_MATRIX)
 
     zeros = FunctionFamily([{d: 0 for d in (1, 2, 4)}] * 3)
     chain = Subset(DivisorLattice(), [1, 2, 4])
-    rr = rank_report(chain, zeros, MEET)
+    rr = rank_report(closed_psi(chain, zeros, MEET))
     assert (rr.lower, rr.upper) == (0, 0)
     assert build_matrix(chain, zeros, MEET).rank() == 0
 
     fam = id_family([1, 2, 3])
-    rr = rank_report(Subset(DivisorLattice(), [1, 2, 3]), fam, MEET)
+    rr = rank_report(closed_psi(Subset(DivisorLattice(), [1, 2, 3]), fam, MEET))
     assert (rr.k, rr.lower, rr.upper) == (0, 3, 3)
     assert build_matrix(Subset(DivisorLattice(), [1, 2, 3]), fam, MEET).rank() == 3
 
@@ -271,15 +278,15 @@ def test_closed_forms_need_no_elimination(monkeypatch, pentagon):
     for name in ("det", "rank", "inverse"):
         monkeypatch.setattr(Matrix, name, no_elimination)
 
-    subset, family = pentagon
-    assert theorem_det(subset, family, MEET) == ZERO
-    assert rank_report(subset, family, MEET) == RankReport(k=4, lower=1, upper=4)
+    table = closed_psi(*pentagon, MEET)
+    assert theorem_det(table) == ZERO
+    assert rank_report(table) == RankReport(k=4, lower=1, upper=4)
 
     chain = Subset(DivisorLattice(), [1, 2, 3])
-    fam = id_family([1, 2, 3])
-    assert theorem_det(chain, fam, MEET) == Scalar(2)
-    assert rank_report(chain, fam, MEET) == RankReport(k=0, lower=3, upper=3)
-    assert theorem_inverse(chain, fam, MEET) == Matrix(
+    table = closed_psi(chain, id_family([1, 2, 3]), MEET)
+    assert theorem_det(table) == Scalar(2)
+    assert rank_report(table) == RankReport(k=0, lower=3, upper=3)
+    assert theorem_inverse(table) == Matrix(
         [
             [Fraction(5, 2), -1, Fraction(-1, 2)],
             [-1, 1, 0],
@@ -290,29 +297,28 @@ def test_closed_forms_need_no_elimination(monkeypatch, pentagon):
 
     # all-zero family: the masked grid L, and with it the matrix, is zero
     zeros = Subset(DivisorLattice(), [1, 2, 4])
-    assert rank_report(zeros, FunctionFamily([{d: 0 for d in (1, 2, 4)}] * 3), MEET) == (
-        RankReport(k=3, lower=0, upper=0)
-    )
+    table = closed_psi(zeros, FunctionFamily([{d: 0 for d in (1, 2, 4)}] * 3), MEET)
+    assert rank_report(table) == RankReport(k=3, lower=0, upper=0)
     assert ordinary_rank(zeros, {1: 0, 2: 0, 4: 0}, MEET) == 0
     assert ordinary_rank(zeros, {1: 9, 2: 9, 4: 9}, MEET) == 1
     # zero diagonal everywhere, yet L (and the matrix) is not zero
     pair = Subset(DivisorLattice(), [1, 2])
-    assert rank_report(pair, FunctionFamily([{1: 0, 2: 0}, {1: 1, 2: 1}]), MEET) == (
-        RankReport(k=2, lower=0, upper=1)
-    )
+    table = closed_psi(pair, FunctionFamily([{1: 0, 2: 0}, {1: 1, 2: 1}]), MEET)
+    assert rank_report(table) == RankReport(k=2, lower=0, upper=1)
 
     jchain = Subset(DivisorLattice(), [2, 4, 8])
     jfam = id_family([2, 4, 8])
-    assert theorem_det(jchain, jfam, JOIN) == Scalar(64)
-    assert rank_report(jchain, jfam, JOIN) == RankReport(k=0, lower=3, upper=3)
-    assert theorem_inverse(jchain, jfam, JOIN) == naive_inverse(build_matrix(jchain, jfam, JOIN))
+    table = closed_psi(jchain, jfam, JOIN)
+    assert theorem_det(table) == Scalar(64)
+    assert rank_report(table) == RankReport(k=0, lower=3, upper=3)
+    assert theorem_inverse(table) == naive_inverse(build_matrix(jchain, jfam, JOIN))
     assert ordinary_rank(jchain, {2: 2, 4: 4, 8: 8}, JOIN) == 3
 
 
 def test_theorem_inverse_divisor_pair():
     subset = Subset(DivisorLattice(), [1, 2])
     fam = id_family([1, 2])
-    inv = theorem_inverse(subset, fam, MEET)
+    inv = theorem_inverse(closed_psi(subset, fam, MEET))
     assert inv == Matrix([[2, -1], [-1, 1]])
     assert inv == naive_inverse(Matrix([[1, 1], [1, 2]]))
 
@@ -320,7 +326,7 @@ def test_theorem_inverse_divisor_pair():
 def test_theorem_inverse_single():
     subset = Subset(DivisorLattice(), [3])
     fam = FunctionFamily([{3: Scalar(5, 1)}])
-    inv = theorem_inverse(subset, fam, MEET)
+    inv = theorem_inverse(closed_psi(subset, fam, MEET))
     assert inv == Matrix([[ONE / Scalar(5, 1)]])
 
 
@@ -328,7 +334,7 @@ def test_theorem_inverse_join_chain():
     subset = Subset(DivisorLattice(), [2, 4, 8])
     fam = id_family([2, 4, 8])
     m = build_matrix(subset, fam, JOIN)
-    inv = theorem_inverse(subset, fam, JOIN)
+    inv = theorem_inverse(closed_psi(subset, fam, JOIN))
     assert inv @ m == Matrix.identity(3)
     assert m @ inv == Matrix.identity(3)
     assert inv == naive_inverse(m)
@@ -337,14 +343,23 @@ def test_theorem_inverse_join_chain():
 def test_theorem_inverse_singular_names_row(pentagon):
     subset, family = pentagon
     with pytest.raises(SingularPsiError) as err:
-        theorem_inverse(subset, family, MEET)
+        theorem_inverse(closed_psi(subset, family, MEET))
     assert "row 1" in str(err.value)
 
 
 def test_theorem_inverse_requires_closed():
-    subset = Subset(DivisorLattice(), [4, 6])
-    with pytest.raises(NotClosedError):
-        theorem_inverse(subset, FunctionFamily([{4: 1, 6: 1}] * 2), MEET)
+    # closed, but tabulated over a closure set listed in another order:
+    # grid[i, i] is then not the diagonal value of row i
+    subset = Subset(DivisorLattice(), [1, 2, 3])
+    family = FunctionFamily([{1: 1, 2: 2, 3: 3}] * 3)
+    other = ClosureSet(subset.backend, [1, 3, 2], MEET)
+    table = psi_table(subset, family, MEET, other)
+    for closed_form in (theorem_det, rank_report, theta_table, theorem_inverse):
+        with pytest.raises(NotClosedError):
+            closed_form(table)
+    assert theorem_inverse(closed_psi(subset, family, MEET)) == naive_inverse(
+        build_matrix(subset, family, MEET)
+    )
 
 
 def test_theorem_inverse_gaussian_entries():
@@ -358,7 +373,7 @@ def test_theorem_inverse_gaussian_entries():
         ]
     )
     m = build_matrix(subset, fam, MEET)
-    inv = theorem_inverse(subset, fam, MEET)
+    inv = theorem_inverse(closed_psi(subset, fam, MEET))
     assert inv @ m == Matrix.identity(3)
     assert m @ inv == Matrix.identity(3)
     assert inv == naive_inverse(m)
@@ -381,20 +396,19 @@ def test_column_adjusted_is_transpose(pentagon):
 def test_theta_diagonal_is_reciprocal_recursion():
     subset = Subset(DivisorLattice(), [1, 2, 6])
     fam = FunctionFamily([{1: 1, 2: 2, 6: 6}] * 3)
-    table = psi_table(subset, fam, MEET, ClosureSet.from_subset(subset, MEET))
-    theta = theta_table(subset, fam, MEET)
-    assert theta.mode == MEET
-    for j, value in enumerate(table.diagonal(subset)):
-        assert theta.grid[j, j] == ONE / value
+    table = closed_psi(subset, fam, MEET)
+    theta = theta_table(table)
+    for j, value in enumerate(table.diagonal()):
+        assert theta[j, j] == ONE / value
 
 
 def test_theta_triangularity_follows_mode():
     meet_sub = Subset(DivisorLattice(), [1, 2, 6])
     meet_fam = FunctionFamily([{1: 1, 2: 3, 6: 7}] * 3)
-    lower = theta_table(meet_sub, meet_fam, MEET).grid
+    lower = theta_table(closed_psi(meet_sub, meet_fam, MEET))
     join_sub = Subset(DivisorLattice(), [2, 4, 8])
     join_fam = FunctionFamily([{2: 2, 4: 4, 8: 8}] * 3)
-    upper = theta_table(join_sub, join_fam, JOIN).grid
+    upper = theta_table(closed_psi(join_sub, join_fam, JOIN))
     for k in range(3):
         for j in range(3):
             if k < j:
@@ -415,13 +429,13 @@ def test_theta_inverts_masked_factor(members, mode):
     universe = sorted({x for a in members for b in members for x in (a, b)} | set(members))
     fam = FunctionFamily([{d: d + i for d in universe} for i in range(len(members))])
     fact = factorize(subset, fam, mode, ClosureSet.from_subset(subset, mode))
-    theta = theta_table(subset, fam, mode)
-    assert fact.masked_psi @ theta.grid == Matrix.identity(len(members))
+    theta = theta_table(closed_psi(subset, fam, mode))
+    assert fact.masked_psi @ theta == Matrix.identity(len(members))
 
 
 def test_theta_table_singular_row():
     subset = Subset(DivisorLattice(), [1, 2])
     family = FunctionFamily([{1: 1, 2: 2}, {1: 5, 2: 5}])
     with pytest.raises(SingularPsiError) as err:
-        theta_table(subset, family, MEET)
+        theta_table(closed_psi(subset, family, MEET))
     assert "row 2" in str(err.value)
