@@ -18,6 +18,7 @@ from .errors import (
     DimensionError,
     DomainError,
     MissingValueError,
+    NotClosedError,
     OracleMismatchError,
     ParseError,
     StructureError,
@@ -35,7 +36,6 @@ from .posets import (
     OrderBackend,
     Subset,
     closure_set,
-    is_closed,
     mobius_matrix,
 )
 from .randomcheck import check_closed, run_verify
@@ -252,7 +252,11 @@ def cmd_analyze(args) -> int:
     out = Output(config.format == "machine")
     subset, family, mode = config.subset, config.family, config.mode
     matrix = build_matrix(subset, family, mode)
-    closed = is_closed(subset, mode)
+    try:
+        table = closed_psi(subset, family, mode)
+    except NotClosedError:
+        table = None
+    closed = table is not None
     shown = matrix.transpose() if config.column_adjusted else matrix
 
     out.kv("command", "analyze")
@@ -285,7 +289,7 @@ def cmd_analyze(args) -> int:
         out.emit()
         return EXIT_OK
 
-    result = check_closed(closed_psi(subset, family, mode), matrix)
+    result = check_closed(table, matrix)
     if result.problems:
         raise OracleMismatchError(next(iter(result.problems.values())))
     rank, det = result.rank, result.det

@@ -1,4 +1,4 @@
-"""Text formats: poset files, function-family files, matrix blocks.
+"""Text formats: poset and function-family files in, matrix blocks out.
 
 The grammar is line oriented. Blank lines and `#` comments are ignored
 everywhere. Errors carry the 1-based line number of the offense.
@@ -166,28 +166,6 @@ def parse_family_file(text: str, element_parser: Callable[[str], object]) -> tup
     if not tables:
         raise ParseError("family file defines no rows")
     return domain, tables
-
-
-def parse_matrix_text(text: str) -> Matrix:
-    """Parse a whitespace-separated matrix, one row per line."""
-    lines = _logical_lines(text)
-    if not lines:
-        raise ParseError("empty matrix text")
-    rows: list[list[Scalar]] = []
-    width = None
-    for lineno, line in lines:
-        try:
-            row = [Scalar.parse(tok) for tok in line.split()]
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(
-                f"line {lineno}: row has {len(row)} entries, earlier rows have {width}"
-            )
-        rows.append(row)
-    return Matrix(rows)
 
 
 def render_matrix_machine(matrix: Matrix) -> list[str]:

@@ -4,7 +4,7 @@ Two backends provide the partial order: a finite poset built from cover
 pairs, and the (conceptually infinite) divisor lattice on positive
 integers where meet is gcd and join is lcm. On top of them live the
 ordered subset selections, one-step meet/join closures, incidence and
-zeta/Möbius matrices.
+Möbius matrices.
 
 Every listing of elements in this module is kept in a linear extension:
 a <= b implies a appears no later than b. Ties between incomparable
@@ -213,15 +213,6 @@ class FinitePoset(OrderBackend):
             raise NoJoinError(f"{a!r} and {b!r} have no least upper bound")
         return result
 
-    def leq_pairs(self) -> frozenset[tuple[str, str]]:
-        """All ordered pairs (a, b) with a <= b, reflexive included."""
-        return frozenset(
-            (a, b)
-            for a in self.elements
-            for b in self.elements
-            if self.leq(a, b)
-        )
-
     def __eq__(self, other):
         if not isinstance(other, FinitePoset):
             return NotImplemented
@@ -418,23 +409,12 @@ def incidence_matrix(subset: Subset, closure: ClosureSet) -> Matrix:
     return Matrix(rows)
 
 
-def zeta_matrix(closure: ClosureSet) -> Matrix:
-    """Square 0/1 matrix of the order relation on the closure set."""
-    backend = closure.backend
-    return Matrix(
-        [
-            [ONE if backend.leq(a, b) else ZERO for b in closure.elements]
-            for a in closure.elements
-        ]
-    )
-
-
 def mobius_matrix(closure: ClosureSet) -> Matrix:
     """Möbius function of the closure set's own order, as a square matrix.
 
     Standard recursion: mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z) over
     x <= z < y, with z ranging inside the closure set. The result is the
-    exact inverse of `zeta_matrix`.
+    exact inverse of the 0/1 matrix of the order relation (the zeta matrix).
     """
     backend = closure.backend
     elems = closure.elements

@@ -3,7 +3,9 @@
 Every closed-form result in `rowadjusted` is replayed here against the
 elimination oracles on pseudo-random instances; `check_closed` is the one
 place a closed set's det, rank and inverse meet elimination, for `verify`
-and `analyze` alike. Generation is fully driven by one `random.Random`,
+and `analyze` alike. The second routes to Psi live here too:
+`psi_by_mobius` (the `psi_two_routes` check) and `psi_from_matrix` (the
+check of that name). Generation is fully driven by one `random.Random`,
 so a seed reproduces the exact run.
 """
 
@@ -14,9 +16,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
+    AdmissibilityError,
+    DimensionError,
     MeetJoinError,
     NoJoinError,
     NoMeetError,
+    NotClosedError,
     NotSortedError,
     SingularError,
 )
@@ -32,8 +37,8 @@ from .posets import (
     closed_hull,
     closure_set,
     incidence_matrix,
-    is_closed,
     linear_extension,
+    mobius_matrix,
 )
 from .rowadjusted import (
     FunctionFamily,
@@ -43,8 +48,6 @@ from .rowadjusted import (
     closed_psi,
     factorize,
     ordinary_rank,
-    psi_from_matrix,
-    psi_table,
     rank_report,
     theorem_det,
     theorem_inverse,
@@ -217,6 +220,36 @@ def _psi_reconstructs(inst: Instance, closure: ClosureSet, grid: Matrix) -> str 
     return None
 
 
+def psi_by_mobius(family: FunctionFamily, closure: ClosureSet) -> Matrix:
+    """Psi over the closure as the Möbius-weighted sum of the function
+    values: values @ mobius in meet mode, values @ mobius^T in join mode."""
+    values = Matrix(
+        [[family.value(i, d) for d in closure.elements] for i in range(family.n)]
+    )
+    mob = mobius_matrix(closure)
+    return values @ (mob if closure.mode == MEET else mob.transpose())
+
+
+def psi_from_matrix(matrix: Matrix, subset: Subset, mode: str = MEET) -> Matrix:
+    """Recover the masked recursion grid from the matrix of a closed set.
+
+    For a closed subset the incidence matrix E is square and invertible,
+    and the Möbius matrix of the subset inverts E^T (meet) or E (join), so
+    no elimination is needed: the result is matrix @ mobius in meet mode
+    and matrix @ mobius^T in join mode. Equals the `masked_psi` of
+    `factorize` over the subset itself.
+    """
+    own = ClosureSet.from_subset(subset, mode)
+    try:
+        own.validate_for(subset)
+    except AdmissibilityError:
+        raise NotClosedError(f"recovering the recursion grid needs a {mode}-closed subset") from None
+    if matrix.rows != subset.n or matrix.cols != subset.n:
+        raise DimensionError("matrix shape does not match the subset size")
+    mob = mobius_matrix(own)
+    return matrix @ (mob if mode == MEET else mob.transpose())
+
+
 @dataclass(frozen=True)
 class ClosedCheck:
     """Closed forms of one closed instance: `det`, `rank` and `inverse` (None
@@ -314,8 +347,7 @@ def check_instance(
             report.fail("psi_reconstruction", case, inst.label, problem)
 
     report.tally("psi_two_routes")
-    via_mobius = psi_table(subset, family, mode, minimal, method="mobius").grid
-    if via_mobius != fact.psi_grid:
+    if psi_by_mobius(family, minimal) != fact.psi_grid:
         report.fail(
             "psi_two_routes", case, inst.label,
             "recursion and Möbius-sum grids disagree",
@@ -336,24 +368,23 @@ def check_instance(
                 "single-function matrix is not symmetric",
             )
 
-    if not is_closed(subset, mode):
+    try:
+        table = closed_psi(subset, family, mode)
+    except NotClosedError:
         return
-
-    table = closed_psi(subset, family, mode)
     closed = check_closed(table, matrix)
     for name in ("det_theorem", "rank_trichotomy", "inverse_iff"):
         report.tally(name)
         if name in closed.problems:
             report.fail(name, case, inst.label, closed.problems[name])
 
-    if mode == MEET:
-        report.tally("psi_from_matrix")
-        recovered = psi_from_matrix(matrix, subset)
-        if recovered != incidence_matrix(subset, table.closure).hadamard(table.grid):
-            report.fail(
-                "psi_from_matrix", case, inst.label,
-                "grid recovered from the matrix differs from the factorization grid",
-            )
+    report.tally("psi_from_matrix")
+    recovered = psi_from_matrix(matrix, subset, mode)
+    if recovered != incidence_matrix(subset, table.closure).hadamard(table.grid):
+        report.fail(
+            "psi_from_matrix", case, inst.label,
+            "grid recovered from the matrix differs from the factorization grid",
+        )
 
     if inst.identical_rows:
         report.tally("ordinary_rank")

@@ -12,7 +12,8 @@ from which determinant, rank bounds, and the inverse of closed sets
 follow without elimination. For a closed set the closure is the subset
 itself and the masked grid L = incidence . psi_grid is triangular, so
 det is the product of its diagonal and the inverse is mobius @ L^-1
-(mobius^T @ L^-1 in join mode).
+(mobius^T @ L^-1 in join mode). Psi has one route here, the recursion;
+the routes that only cross-check it live in `randomcheck`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .posets import (
     check_mode,
     closure_set,
     incidence_matrix,
-    is_closed,
     mobius_matrix,
 )
 from .scalar import ONE, ZERO, Scalar, as_scalar
@@ -68,9 +68,6 @@ class FunctionFamily:
             raise MissingValueError(
                 f"f{row + 1} has no value at {element!r}"
             ) from None
-
-    def has_value(self, row: int, element) -> bool:
-        return element in self._tables[row]
 
     def table(self, row: int) -> dict:
         return dict(self._tables[row])
@@ -130,25 +127,16 @@ def psi_table(
     family: FunctionFamily,
     mode: str = MEET,
     closure: ClosureSet | None = None,
-    method: str = "recursion",
 ) -> PsiTable:
     """Tabulate the recursion values of every row function over the closure.
 
     Meet mode solves f_i(d_k) = sum of values over elements below d_k by a
-    bottom-up pass; join mode is the top-down dual. `method="mobius"`
-    computes the same grid as the Möbius-weighted sum instead; the two
-    routes agree and that equality is tested.
+    bottom-up pass; join mode is the top-down dual.
     """
     check_mode(mode)
     _require_family(subset, family)
     closure = _resolve_closure(subset, mode, closure)
-    if method == "recursion":
-        grid = _psi_recursion(family, closure)
-    elif method == "mobius":
-        grid = _psi_mobius(family, closure)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return PsiTable(subset, mode, closure, grid)
+    return PsiTable(subset, mode, closure, _psi_recursion(family, closure))
 
 
 def _walk(closure: ClosureSet) -> list[tuple[int, list[int]]]:
@@ -186,19 +174,6 @@ def _psi_recursion(family: FunctionFamily, closure: ClosureSet) -> Matrix:
             values[k] = total
         rows.append(values)
     return Matrix(rows)
-
-
-def _psi_mobius(family: FunctionFamily, closure: ClosureSet) -> Matrix:
-    values = Matrix(
-        [
-            [family.value(i, d) for d in closure.elements]
-            for i in range(family.n)
-        ]
-    )
-    mob = mobius_matrix(closure)
-    if closure.mode == MEET:
-        return values @ mob
-    return values @ mob.transpose()
 
 
 def build_matrix(
@@ -250,30 +225,16 @@ def factorize(
     )
 
 
-def psi_from_matrix(matrix: Matrix, subset: Subset) -> Matrix:
-    """Recover the masked recursion grid from a meet matrix of a closed set.
-
-    For a meet-closed subset the incidence matrix is square and invertible,
-    and its transpose's inverse is the Möbius matrix of the subset, so no
-    elimination is needed: the result is matrix @ mobius. Equals the
-    `masked_psi` of `factorize`.
-    """
-    own = ClosureSet.from_subset(subset, MEET)
-    try:
-        own.validate_for(subset)
-    except AdmissibilityError:
-        raise NotClosedError("recovering the recursion grid needs a meet-closed subset") from None
-    if matrix.rows != subset.n or matrix.cols != subset.n:
-        raise DimensionError("matrix shape does not match the subset size")
-    return matrix @ mobius_matrix(own)
-
-
 def closed_psi(subset: Subset, family: FunctionFamily, mode: str = MEET) -> PsiTable:
     """Psi table of a closed set over the set itself (D = S), the input of
-    `theorem_det`, `rank_report`, `theta_table` and `theorem_inverse`."""
-    if not is_closed(subset, mode):
-        raise NotClosedError(f"the subset is not {mode} closed")
-    return psi_table(subset, family, mode, ClosureSet.from_subset(subset, mode))
+    `theorem_det`, `rank_report`, `theta_table` and `theorem_inverse`.
+
+    The subset is its own admissible closure set iff it is closed, so the
+    admissibility check `psi_table` makes is the closedness test."""
+    try:
+        return psi_table(subset, family, mode, ClosureSet.from_subset(subset, mode))
+    except AdmissibilityError:
+        raise NotClosedError(f"the subset is not {mode} closed") from None
 
 
 def _closed_diagonal(table: PsiTable) -> list[Scalar]:

@@ -57,9 +57,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.real and not self.imag
 
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.real, -self.imag)
-
     def __bool__(self) -> bool:
         return not self.is_zero
 

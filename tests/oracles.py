@@ -4,6 +4,7 @@ These deliberately avoid the library's own elimination code paths:
 determinants by permutation expansion, rank by exhaustive minor search,
 inverses by the adjugate, reachability by matrix powers of the cover
 relation, and number theory by counting. Slow and obviously correct.
+`zeta_matrix` is the partner that checks the library's Möbius matrices.
 """
 
 from itertools import combinations, permutations
@@ -89,6 +90,15 @@ def reachable_pairs(elements, covers) -> set:
                     pairs.add((a, d))
                     changed = True
     return pairs
+
+
+def zeta_matrix(closure) -> Matrix:
+    """Square 0/1 matrix of the order relation on a closure set; the
+    library's `mobius_matrix` of the same set must be its inverse."""
+    leq = closure.backend.leq
+    return Matrix(
+        [[ONE if leq(a, b) else ZERO for b in closure.elements] for a in closure.elements]
+    )
 
 
 def gcd_by_scan(a: int, b: int) -> int:

@@ -24,7 +24,6 @@ from meetjoin.posets import (
     closure_set,
     linear_extension,
     mobius_matrix,
-    zeta_matrix,
 )
 from meetjoin.randomcheck import VerifyReport, check_attainment, random_instance
 from meetjoin.rowadjusted import (
@@ -38,7 +37,7 @@ from meetjoin.rowadjusted import (
 )
 from meetjoin.scalar import Scalar, ZERO
 
-from oracles import naive_det
+from oracles import naive_det, zeta_matrix
 
 
 PENTAGON_POSET = """\

@@ -5,7 +5,6 @@ import pytest
 from meetjoin.errors import ParseError
 from meetjoin.formats import (
     parse_family_file,
-    parse_matrix_text,
     parse_poset_file,
     render_elements,
     render_matrix_machine,
@@ -110,22 +109,11 @@ def test_parse_family_errors():
         parse_family_file("over: 1 2", int)
 
 
-def test_parse_matrix_text():
-    m = parse_matrix_text("1 2\n3/2 -i\n")
-    assert m == Matrix([[1, 2], [Scalar.parse("3/2"), Scalar(0, -1)]])
-    with pytest.raises(ParseError, match="empty"):
-        parse_matrix_text("  \n# just a comment\n")
-    with pytest.raises(ParseError, match="entries"):
-        parse_matrix_text("1 2\n3\n")
-    with pytest.raises(ParseError, match="line 1"):
-        parse_matrix_text("1 zz")
-
-
 def test_render_matrix_machine_roundtrip():
     m = Matrix([[1, Scalar.parse("1/2-3/4i")], [Scalar(0, 1), -2]])
     lines = render_matrix_machine(m)
     assert lines == ["1 1/2-3/4i", "i -2"]
-    assert parse_matrix_text("\n".join(lines)) == m
+    assert Matrix([[Scalar.parse(tok) for tok in line.split()] for line in lines]) == m
 
 
 def test_render_elements():

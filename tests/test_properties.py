@@ -24,13 +24,13 @@ from meetjoin.posets import (
     is_closed,
     linear_extension,
 )
+from meetjoin.randomcheck import psi_by_mobius, psi_from_matrix
 from meetjoin.rowadjusted import (
     FunctionFamily,
     build_matrix,
     closed_psi,
     factorize,
     ordinary_rank,
-    psi_from_matrix,
     psi_table,
     rank_report,
     theorem_det,
@@ -119,7 +119,7 @@ def test_psi_reconstruction_and_route_agreement(inst):
     subset, family, mode, _ = inst
     closure = closure_set(subset, mode)
     table = psi_table(subset, family, mode, closure)
-    assert table.grid == psi_table(subset, family, mode, closure, method="mobius").grid
+    assert table.grid == psi_by_mobius(family, closure)
     backend = subset.backend
     for i in range(family.n):
         for k, dk in enumerate(closure.elements):
@@ -182,13 +182,14 @@ def test_closed_set_theorems(inst):
 
 
 @settings(max_examples=50, deadline=None)
-@given(divisor_instance(force_closed=True, mode=MEET))
+@given(divisor_instance(force_closed=True))
 def test_psi_recovery_on_meet_closed_sets(inst):
-    subset, family, _, _ = inst
-    matrix = build_matrix(subset, family, MEET)
-    own = ClosureSet.from_subset(subset, MEET)
-    assert psi_from_matrix(matrix, subset) == factorize(
-        subset, family, MEET, own
+    # both modes: join-closed sets recover the grid through mobius^T
+    subset, family, mode, _ = inst
+    matrix = build_matrix(subset, family, mode)
+    own = ClosureSet.from_subset(subset, mode)
+    assert psi_from_matrix(matrix, subset, mode) == factorize(
+        subset, family, mode, own
     ).masked_psi
 
 

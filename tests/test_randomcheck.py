@@ -1,10 +1,13 @@
 """The seeded battery itself: determinism, coverage, fault injection."""
 
 import random
+import sys
 from dataclasses import replace
 
 import pytest
 
+import meetjoin.posets as posets
+import meetjoin.randomcheck as randomcheck
 import meetjoin.rowadjusted as rowadjusted
 from meetjoin.cli import main
 from meetjoin.numtheory import make_family
@@ -100,8 +103,6 @@ def test_attainment_constructions():
 
 
 def test_closed_form_faults_are_caught(monkeypatch):
-    import meetjoin.randomcheck as randomcheck
-
     clean = run_verify(seed=1, cases=20)
     det, rank = randomcheck.theorem_det, randomcheck.rank_report
     # doubling keeps zero and nonzero determinants apart, so only the
@@ -139,3 +140,53 @@ def test_closed_set_tabulates_psi_once(monkeypatch, capsys, mode, members):
     assert main(argv) == 0
     assert "invertible: yes" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_mobius_route_fault_is_caught(monkeypatch):
+    clean = run_verify(seed=1, cases=20)
+    route = randomcheck.psi_by_mobius
+    monkeypatch.setattr(randomcheck, "psi_by_mobius", lambda *args: -route(*args))
+    report = run_verify(seed=1, cases=20)
+    assert report.counts == clean.counts
+    assert report.failures
+    assert {f.check for f in report.failures} == {"psi_two_routes"}
+
+
+def test_psi_from_matrix_fault_is_caught_in_both_modes(monkeypatch):
+    clean = run_verify(seed=1, cases=20)
+    recover = randomcheck.psi_from_matrix
+    monkeypatch.setattr(randomcheck, "psi_from_matrix", lambda *args: -recover(*args))
+    report = run_verify(seed=1, cases=20)
+    assert report.counts == clean.counts
+    assert report.counts["psi_from_matrix"] == report.counts["det_theorem"]
+    assert {f.check for f in report.failures} == {"psi_from_matrix"}
+    modes = {f.label.rsplit("mode=", 1)[1] for f in report.failures}
+    assert modes == {MEET, JOIN}
+
+
+def test_closedness_is_asked_once_per_request(monkeypatch, capsys, tmp_path):
+    # every module that imported closure_set by name is counted
+    calls = []
+    build = posets.closure_set
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("meetjoin") and getattr(module, "closure_set", None) is build:
+            monkeypatch.setattr(module, "closure_set", counted)
+
+    functions = tmp_path / "family.txt"
+    functions.write_text("over: 1 2 3 6\n" + "".join(f"f{i}: 1 2 3 6\n" for i in range(1, 5)))
+    closed = ["analyze", "--divisors", "--set", "1", "2", "3", "6"]
+    for argv, want in (
+        ([*closed, "--family", "id"], 1),  # the family's domain only
+        ([*closed, "--functions", str(functions)], 0),
+        (["analyze", "--divisors", "--set", "4", "6", "--family", "id"], 1),
+        (["verify", "--seed", "1", "--cases", "100"], 212),
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == want, argv

@@ -31,13 +31,13 @@ from meetjoin.rowadjusted import (
     closed_psi,
     factorize,
     ordinary_rank,
-    psi_from_matrix,
     psi_table,
     rank_report,
     theorem_det,
     theorem_inverse,
     theta_table,
 )
+from meetjoin.randomcheck import psi_by_mobius, psi_from_matrix
 from meetjoin.scalar import ONE, ZERO, Scalar
 
 from oracles import naive_det, naive_inverse, naive_rank
@@ -83,7 +83,6 @@ def test_family_validation():
     fam = FunctionFamily([{1: 1}])
     assert fam.n == 1
     assert fam.value(0, 1) == 1
-    assert fam.has_value(0, 1) and not fam.has_value(0, 2)
     with pytest.raises(MissingValueError):
         fam.value(0, 2)
 
@@ -116,11 +115,9 @@ def test_psi_join_chain():
 
 def test_psi_methods_agree(pentagon):
     subset, family = pentagon
-    a = psi_table(subset, family, MEET, method="recursion").grid
-    b = psi_table(subset, family, MEET, method="mobius").grid
-    assert a == b
-    with pytest.raises(ValueError):
-        psi_table(subset, family, MEET, method="guess")
+    for mode in (MEET, JOIN):
+        table = psi_table(subset, family, mode)
+        assert psi_by_mobius(family, table.closure) == table.grid
 
 
 def test_psi_missing_value_on_closure():
@@ -201,6 +198,8 @@ def test_psi_from_matrix_divisor_pair():
     subset = Subset(DivisorLattice(), [1, 2])
     m = Matrix([[1, 1], [1, 2]])
     assert psi_from_matrix(m, subset) == Matrix([[1, 0], [1, 1]])
+    joined = Matrix([[1, 2], [2, 2]])
+    assert psi_from_matrix(joined, subset, JOIN) == Matrix([[-1, 2], [0, 2]])
 
 
 def test_psi_from_matrix_zero():
@@ -218,6 +217,8 @@ def test_psi_from_matrix_requires_closed():
     subset = Subset(DivisorLattice(), [4, 6])
     with pytest.raises(NotClosedError):
         psi_from_matrix(Matrix.zeros(2, 2), subset)
+    with pytest.raises(NotClosedError):
+        psi_from_matrix(Matrix.zeros(2, 2), subset, JOIN)
     closed = Subset(DivisorLattice(), [1, 2])
     with pytest.raises(DimensionError):
         psi_from_matrix(Matrix.zeros(3, 3), closed)

@@ -98,10 +98,3 @@ def test_field_axioms_multiplicative(a, b, c):
 def test_multiplicative_inverse(a):
     assert a * (ONE / a) == ONE
 
-
-@given(scalars)
-def test_conjugate_involution(a):
-    assert a.conjugate().conjugate() == a
-    product = a * a.conjugate()
-    assert product.imag == 0
-    assert product.real >= 0
