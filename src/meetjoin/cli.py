@@ -367,12 +367,17 @@ def cmd_verify(args) -> int:
     out.kv("result", "fail" if report.failures else "pass")
     if report.failures:
         first = report.failures[0]
+        # every case draws from one random stream, so a case is replayed
+        # by running the same seed through it, never alone
+        reproduce = f"meetjoin verify --seed {report.seed} --cases {first.case + 1}"
         out.kv("first_failure", f"{first.check} case {first.case}: {first.label}")
         out.kv("first_failure_detail", first.detail)
+        out.kv("reproduce", reproduce)
         out.text()
         out.text(f"FIRST COUNTEREXAMPLE ({first.check}, case {first.case}):")
         out.text(f"  instance: {first.label}")
         out.text(f"  {first.detail}")
+        out.text(f"  reproduce: {reproduce}")
         out.emit()
         return EXIT_MISMATCH
     out.text("all properties hold")

@@ -2,12 +2,20 @@
 
 Determinant, rank, and inverse are computed by exact elimination and act
 as the brute-force oracles against which every closed-form result is
-checked. Determinants use fraction-free (Bareiss) condensation with row
-pivoting; rank and inverse use ordinary exact Gaussian elimination.
+checked. Entries are `Scalar` at the boundary. The four kernels (`det`,
+`rank`, `inverse` and `@`) convert each operand once into rows of
+Gaussian integers `(re, im)` over one shared denominator, the lcm of all
+entry denominators, run on Python ints, and convert back once per output
+entry. All three eliminations are fraction-free over Z[i]: determinant
+and rank by Bareiss condensation with row pivoting, the inverse by
+Gauss-Jordan on [A | D*I]; each division, by the previous pivot, is
+exact. The product is (A*B) / (Da*Db) and skips zero terms.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, SingularError
@@ -82,13 +90,22 @@ class Matrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = other.transpose().entries
-        return Matrix(
-            [
-                [_dot(row, col) for col in cols]
-                for row in self.entries
-            ]
-        )
+        a, da = _gaussian(self.entries)
+        b, db = _gaussian(other.entries)
+        den = da * db
+        # the nonzero entries of each row of b, with their column
+        terms = [[(j, br, bi) for j, (br, bi) in enumerate(row) if br or bi] for row in b]
+        width = other.cols
+        out = []
+        for row in a:
+            sum_re, sum_im = [0] * width, [0] * width
+            for (ar, ai), nonzero in zip(row, terms):
+                if ar or ai:
+                    for j, br, bi in nonzero:
+                        sum_re[j] += ar * br - ai * bi
+                        sum_im[j] += ar * bi + ai * br
+            out.append([_scalar(re, im, den) for re, im in zip(sum_re, sum_im)])
+        return Matrix(out)
 
     def hadamard(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
@@ -121,82 +138,52 @@ class Matrix:
         return Matrix([[-e for e in row] for row in self.entries])
 
     def det(self) -> Scalar:
-        """Exact determinant by fraction-free condensation.
+        """Exact determinant by fraction-free (Bareiss) condensation over Z[i].
 
-        Row swaps (with sign tracking) handle zero pivots; every division
-        in the Bareiss step is exact.
+        With every entry over the shared denominator D, det = det(ints) / D^n.
         """
         if not self.is_square:
             raise DimensionError("determinant needs a square matrix")
-        n = self.rows
-        work = [list(row) for row in self.entries]
-        sign = 1
-        prev = ONE
-        for k in range(n - 1):
-            if work[k][k].is_zero:
-                pivot = next(
-                    (r for r in range(k + 1, n) if not work[r][k].is_zero), None
-                )
-                if pivot is None:
-                    return ZERO
-                work[k], work[pivot] = work[pivot], work[k]
-                sign = -sign
-            pk = work[k][k]
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    work[i][j] = (work[i][j] * pk - work[i][k] * work[k][j]) / prev
-                work[i][k] = ZERO
-            prev = pk
-        result = work[n - 1][n - 1]
-        return -result if sign < 0 else result
+        work, den = _gaussian(self.entries)
+        rank, sign, (re, im) = _echelon(work, self.cols)
+        if rank < self.rows:
+            return ZERO
+        return _scalar(sign * re, sign * im, den**self.rows)
 
     def rank(self) -> int:
-        """Exact rank by row echelon reduction."""
-        work = [list(row) for row in self.entries]
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if not work[i][c].is_zero), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            lead = work[r][c]
-            for i in range(r + 1, self.rows):
-                if work[i][c].is_zero:
-                    continue
-                factor = work[i][c] / lead
-                for j in range(c, self.cols):
-                    work[i][j] = work[i][j] - factor * work[r][j]
-            r += 1
-            if r == self.rows:
-                break
-        return r
+        """Exact rank by fraction-free (Bareiss) row echelon reduction over Z[i]."""
+        work, _ = _gaussian(self.entries)
+        return _echelon(work, self.cols)[0]
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by Gauss-Jordan elimination."""
+        """Exact inverse by fraction-free Gauss-Jordan elimination over Z[i].
+
+        With A = ints / D, elimination turns [ints | D*I] into [d*I | d*A^-1],
+        where d is the last pivot, so A^-1 is the right block divided by d.
+        """
         if not self.is_square:
             raise DimensionError("inverse needs a square matrix")
         n = self.rows
-        work = [list(row) for row in self.entries]
-        out = [
-            [ONE if i == j else ZERO for j in range(n)]
-            for i in range(n)
-        ]
+        work, den = _gaussian(self.entries)
+        for i, row in enumerate(work):
+            row.extend((den, 0) if j == i else (0, 0) for j in range(n))
+        prev = (1, 0)
         for c in range(n):
-            pivot = next((i for i in range(c, n) if not work[i][c].is_zero), None)
+            pivot = next((i for i in range(c, n) if work[i][c] != (0, 0)), None)
             if pivot is None:
                 raise SingularError("matrix is singular")
             work[c], work[pivot] = work[pivot], work[c]
-            out[c], out[pivot] = out[pivot], out[c]
-            lead = work[c][c]
-            work[c] = [e / lead for e in work[c]]
-            out[c] = [e / lead for e in out[c]]
-            for i in range(n):
-                if i == c or work[i][c].is_zero:
-                    continue
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[c])]
-                out[i] = [a - factor * b for a, b in zip(out[i], out[c])]
-        return Matrix(out)
+            top = work[c]
+            for i, row in enumerate(work):
+                if i != c:
+                    row[c + 1:] = _condense(row[c + 1:], top[c + 1:], top[c], row[c], prev)
+            prev = top[c]
+        # divide by d as multiplication by its conjugate, then by its norm
+        dr, di = prev
+        norm = dr * dr + di * di
+        return Matrix(
+            [[_scalar(re * dr + im * di, im * dr - re * di, norm) for re, im in row[n:]] for row in work]
+        )
 
     def __str__(self):
         text = [[str(e) for e in row] for row in self.entries]
@@ -211,12 +198,73 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _dot(row, col) -> Scalar:
-    # Zero terms are skipped: exact 0 * b is 0, and triangular or 0/1
-    # factors are mostly zeros.
-    total = ZERO
-    for a, b in zip(row, col):
-        if a.is_zero or b.is_zero:
+def _gaussian(entries) -> tuple[list, int]:
+    """Rows of Scalars as rows of Gaussian integers (re, im) over one shared
+    denominator, the lcm of every entry's denominators."""
+    den = lcm(*(part.denominator for row in entries for e in row for part in (e.real, e.imag)))
+    return [
+        [
+            (
+                e.real.numerator * (den // e.real.denominator),
+                e.imag.numerator * (den // e.imag.denominator),
+            )
+            for e in row
+        ]
+        for row in entries
+    ], den
+
+
+def _scalar(re: int, im: int, den: int) -> Scalar:
+    """The Scalar (re + im*i) / den for a nonzero integer den."""
+    if not (re or im):
+        return ZERO
+    return Scalar(Fraction(re, den), Fraction(im, den))
+
+
+def _condense(xs, ys, p, a, q) -> list:
+    """[(p*x - a*y) / q for x, y in zip(xs, ys)] over Z[i], the Bareiss step.
+
+    Elimination only divides by a previous pivot q, where each quotient is
+    exact (Sylvester's identity), so it is taken as multiplication by the
+    conjugate of q and integer division by its norm.
+    """
+    (pr, pi), (ar, ai), (qr, qi) = p, a, q
+    if not (pi or ai):  # real multipliers
+        out = [(xr * pr - ar * yr, xi * pr - ar * yi) for (xr, xi), (yr, yi) in zip(xs, ys)]
+    else:
+        out = [
+            (xr * pr - xi * pi - ar * yr + ai * yi, xr * pi + xi * pr - ar * yi - ai * yr)
+            for (xr, xi), (yr, yi) in zip(xs, ys)
+        ]
+    if qi:
+        norm = qr * qr + qi * qi
+        return [((re * qr + im * qi) // norm, (im * qr - re * qi) // norm) for re, im in out]
+    if qr == 1:
+        return out
+    return [(re // qr, im // qr) for re, im in out]
+
+
+def _echelon(work: list, cols: int) -> tuple[int, int, tuple]:
+    """Fraction-free (Bareiss) row echelon reduction of Gaussian-integer rows,
+    in place, pivoting on the first nonzero entry of each column.
+
+    Returns the rank, the sign of the row permutation and the last pivot;
+    for nonsingular square rows, sign times that pivot is their determinant.
+    """
+    rows = len(work)
+    rank, sign, prev = 0, 1, (1, 0)
+    for c in range(cols):
+        pivot = next((i for i in range(rank, rows) if work[i][c] != (0, 0)), None)
+        if pivot is None:
             continue
-        total = total + a * b
-    return total
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            sign = -sign
+        top = work[rank]
+        for row in work[rank + 1:]:
+            row[c + 1:] = _condense(row[c + 1:], top[c + 1:], top[c], row[c], prev)
+        prev = top[c]
+        rank += 1
+        if rank == rows:
+            break
+    return rank, sign, prev

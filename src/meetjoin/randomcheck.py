@@ -76,10 +76,12 @@ CHECK_NAMES = (
 
 @dataclass(frozen=True)
 class Instance:
-    """One generated test case: a subset, a family total on `universe`."""
+    """One generated test case: a subset, its minimal closure set `closure`,
+    and a family total on `universe`."""
 
     label: str
     subset: Subset
+    closure: ClosureSet
     family: FunctionFamily
     mode: str
     universe: tuple
@@ -155,7 +157,6 @@ def _poset_instance(rng: random.Random, mode: str, force_closed: bool, max_n: in
     size = rng.randint(1, min(max_n, m))
     sample = rng.sample(labels, size)
     subset = Subset(backend, linear_extension(backend, sample))
-    closure_set(subset, mode)
     if force_closed:
         subset = closed_hull(subset, mode)
         if subset.n > max_n:
@@ -170,7 +171,12 @@ def random_instance(
     force_closed: bool = False,
     max_n: int = 8,
 ) -> Instance:
-    """Draw one instance; retries until the needed meets/joins exist."""
+    """Draw one instance; retries until the needed meets/joins exist.
+
+    The closure set of the final subset is built once, here; it is what
+    raises when a meet or join is missing (in the forced-closed case
+    `closed_hull` raises first).
+    """
     for _ in range(300):
         picked = mode if mode is not None else rng.choice((MEET, JOIN))
         try:
@@ -182,14 +188,19 @@ def random_instance(
                 subset, universe, label = _poset_instance(
                     rng, picked, force_closed, max_n
                 )
+            closure = closure_set(subset, picked)
         except (NoMeetError, NoJoinError, NotSortedError):
             continue
         family, identical = _random_family(rng, subset.n, universe)
-        return Instance(label, subset, family, picked, universe, identical)
+        return Instance(label, subset, closure, family, picked, universe, identical)
+    picked = mode or MEET
     subset = Subset(DivisorLattice(), [1, 2, 4])
     universe = (1, 2, 4)
     family, identical = _random_family(rng, 3, universe)
-    return Instance("fallback divisors S=[1, 2, 4]", subset, family, mode or MEET, universe, identical)
+    return Instance(
+        "fallback divisors S=[1, 2, 4]", subset, closure_set(subset, picked),
+        family, picked, universe, identical,
+    )
 
 
 def _enlarged_closure(rng: random.Random, inst: Instance, minimal: ClosureSet) -> ClosureSet | None:
@@ -310,7 +321,7 @@ def check_instance(
     subset, family, mode = inst.subset, inst.family, inst.mode
     matrix = build_matrix(subset, family, mode)
 
-    minimal = closure_set(subset, mode)
+    minimal = inst.closure
     fact = factorize(subset, family, mode, minimal)
     product = fact.product
     if fault_negate_psi:

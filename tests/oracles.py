@@ -2,14 +2,20 @@
 
 These deliberately avoid the library's own elimination code paths:
 determinants by permutation expansion, rank by exhaustive minor search,
-inverses by the adjugate, reachability by matrix powers of the cover
-relation, and number theory by counting. Slow and obviously correct.
-`zeta_matrix` is the partner that checks the library's Möbius matrices.
+inverses by the adjugate, products by the triple loop, reachability by
+matrix powers of the cover relation, and number theory by counting. Slow
+and obviously correct. `zeta_matrix` is the partner that checks the
+library's Möbius matrices.
+
+`old_det`, `old_rank` and `old_inverse` are the library's former
+elimination kernels, kept verbatim on `Scalar` arithmetic as the
+reference for the integer kernels that replaced them.
 """
 
 from itertools import combinations, permutations
 from math import gcd
 
+from meetjoin.errors import SingularError
 from meetjoin.matrix import Matrix
 from meetjoin.scalar import ONE, ZERO, Scalar
 
@@ -75,6 +81,96 @@ def naive_inverse(m: Matrix) -> Matrix:
             row.append(cof / det)
         rows.append(row)
     return Matrix(rows)
+
+
+def naive_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The triple loop, every term included."""
+    assert a.cols == b.rows
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            total = ZERO
+            for k in range(a.cols):
+                total = total + a[i, k] * b[k, j]
+            row.append(total)
+        rows.append(row)
+    return Matrix(rows)
+
+
+def old_det(m: Matrix) -> Scalar:
+    """Bareiss condensation on Scalars, with row swaps for zero pivots."""
+    assert m.rows == m.cols
+    n = m.rows
+    work = [list(row) for row in m.entries]
+    sign = 1
+    prev = ONE
+    for k in range(n - 1):
+        if work[k][k].is_zero:
+            pivot = next(
+                (r for r in range(k + 1, n) if not work[r][k].is_zero), None
+            )
+            if pivot is None:
+                return ZERO
+            work[k], work[pivot] = work[pivot], work[k]
+            sign = -sign
+        pk = work[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                work[i][j] = (work[i][j] * pk - work[i][k] * work[k][j]) / prev
+            work[i][k] = ZERO
+        prev = pk
+    result = work[n - 1][n - 1]
+    return -result if sign < 0 else result
+
+
+def old_rank(m: Matrix) -> int:
+    """Row echelon reduction on Scalars."""
+    work = [list(row) for row in m.entries]
+    r = 0
+    for c in range(m.cols):
+        pivot = next((i for i in range(r, m.rows) if not work[i][c].is_zero), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        lead = work[r][c]
+        for i in range(r + 1, m.rows):
+            if work[i][c].is_zero:
+                continue
+            factor = work[i][c] / lead
+            for j in range(c, m.cols):
+                work[i][j] = work[i][j] - factor * work[r][j]
+        r += 1
+        if r == m.rows:
+            break
+    return r
+
+
+def old_inverse(m: Matrix) -> Matrix:
+    """Gauss-Jordan elimination on Scalars; raises SingularError."""
+    assert m.rows == m.cols
+    n = m.rows
+    work = [list(row) for row in m.entries]
+    out = [
+        [ONE if i == j else ZERO for j in range(n)]
+        for i in range(n)
+    ]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if not work[i][c].is_zero), None)
+        if pivot is None:
+            raise SingularError("matrix is singular")
+        work[c], work[pivot] = work[pivot], work[c]
+        out[c], out[pivot] = out[pivot], out[c]
+        lead = work[c][c]
+        work[c] = [e / lead for e in work[c]]
+        out[c] = [e / lead for e in out[c]]
+        for i in range(n):
+            if i == c or work[i][c].is_zero:
+                continue
+            factor = work[i][c]
+            work[i] = [a - factor * b for a, b in zip(work[i], work[c])]
+            out[i] = [a - factor * b for a, b in zip(out[i], out[c])]
+    return Matrix(out)
 
 
 def reachable_pairs(elements, covers) -> set:

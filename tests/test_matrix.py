@@ -1,8 +1,10 @@
 """Exact dense matrices: construction, arithmetic, det, rank, inverse.
 
-The elimination routines are cross-checked against the brute-force
-oracles (permutation expansion, minor search, adjugate) on random small
-matrices, so both code paths can later arbitrate the closed forms.
+The integer kernels are cross-checked differentially on Gaussian entries:
+against the brute-force oracles (permutation expansion, minor search,
+adjugate, the triple-loop product) on small matrices, and against the
+former Scalar elimination kernels up to 8x8, so both code paths can
+later arbitrate the closed forms.
 """
 
 from fractions import Fraction
@@ -14,7 +16,15 @@ from meetjoin.errors import DimensionError, SingularError
 from meetjoin.matrix import Matrix
 from meetjoin.scalar import ONE, ZERO, Scalar
 
-from oracles import naive_det, naive_inverse, naive_rank
+from oracles import (
+    naive_det,
+    naive_inverse,
+    naive_matmul,
+    naive_rank,
+    old_det,
+    old_inverse,
+    old_rank,
+)
 
 
 small_entries = st.builds(
@@ -24,10 +34,33 @@ small_entries = st.builds(
 )
 
 
-def square(n, entries=small_entries):
+# Gaussian entries, a third of them zero, so zero pivots and row swaps occur
+sparse_entries = st.one_of(st.just(ZERO), small_entries, small_entries)
+
+
+def shaped(rows, cols, entries=sparse_entries):
     return st.lists(
-        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
     ).map(Matrix)
+
+
+def square(n, entries=small_entries):
+    return shaped(n, n, entries)
+
+
+@st.composite
+def squares(draw, max_n):
+    """Square Gaussian matrices of size 1..max_n; one in three is made
+    singular by replacing a row with a Gaussian multiple of another."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    m = draw(shaped(n, n))
+    if n > 1 and draw(st.integers(min_value=0, max_value=2)) == 0:
+        src, dst = draw(st.permutations(range(n)))[:2]
+        factor = draw(small_entries)
+        rows = [list(row) for row in m.entries]
+        rows[dst] = [factor * e for e in rows[src]]
+        m = Matrix(rows)
+    return m
 
 
 def test_construction_and_access():
@@ -194,3 +227,88 @@ def test_invertible_factor_preserves_rank(a, p):
         return
     assert (p @ a).rank() == a.rank()
     assert (a @ p).rank() == a.rank()
+
+
+@settings(max_examples=60, deadline=None)
+@given(squares(8))
+def test_det_and_inverse_match_old_kernel(m):
+    assert m.det() == old_det(m)
+    try:
+        want = old_inverse(m)
+    except SingularError:
+        with pytest.raises(SingularError):
+            m.inverse()
+    else:
+        assert m.inverse() == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(squares(4))
+def test_det_and_inverse_match_naive_oracles(m):
+    det = m.det()
+    assert det == naive_det(m)
+    if det.is_zero:
+        with pytest.raises(SingularError):
+            m.inverse()
+    else:
+        assert m.inverse() == naive_inverse(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 6)).flatmap(lambda shape: shaped(*shape))
+)
+def test_rank_on_rectangles_matches_naive_and_old_kernel(m):
+    assert m.rank() == naive_rank(m) == old_rank(m)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda shape: st.tuples(shaped(shape[0], shape[1]), shaped(shape[1], shape[2]))
+    )
+)
+def test_matmul_matches_triple_loop(pair):
+    a, b = pair
+    assert a @ b == naive_matmul(a, b)
+
+
+I = Scalar(0, 1)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        Matrix([[0, 1, 2], [3, 0, 1], [1, 1, 0]]),  # zero first pivot: row swap
+        Matrix([[0, 0, 1], [0, 2, 0], [3, 0, 0]]),  # swaps in two columns
+        Matrix([[I, 1], [2, 3]]),  # pure-imaginary first pivot
+        Matrix([[Scalar(0, 2), Scalar(1, 1)], [Scalar(0, Fraction(1, 3)), Scalar(1, -1)]]),
+        Matrix([[Scalar(Fraction(-2, 3), 5)]]),  # 1x1
+        Matrix([[Fraction(1, 2), I, 3], [I, Fraction(-1, 4), 0], [2, 0, Scalar(1, 1)]]),
+    ],
+)
+def test_fixed_nonsingular_cases(m):
+    det = m.det()
+    assert det == naive_det(m) == old_det(m)
+    assert not det.is_zero
+    assert m.rank() == m.rows
+    inv = m.inverse()
+    assert inv == naive_inverse(m) == old_inverse(m)
+    assert m @ inv == inv @ m == Matrix.identity(m.rows)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        Matrix([[I, 1], [-1, I]]),  # row 2 is i times row 1
+        Matrix([[1, Scalar(1, 1)], [Scalar(1, -1), 2]]),  # (1-i) * row 1
+        Matrix([[0, 0], [0, 0]]),
+        Matrix([[0, I, 1], [0, 2, Scalar(0, -2)], [0, 1, Fraction(1, 2)]]),  # zero column
+        Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+    ],
+)
+def test_fixed_singular_cases(m):
+    assert m.det() == ZERO == naive_det(m) == old_det(m)
+    assert m.rank() == naive_rank(m) == old_rank(m) < m.rows
+    with pytest.raises(SingularError):
+        m.inverse()

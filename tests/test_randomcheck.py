@@ -119,6 +119,28 @@ def test_closed_form_faults_are_caught(monkeypatch):
     assert failed <= {"det_theorem", "rank_trichotomy", "attainment_lower", "attainment_upper"}
 
 
+def _machine_fields(text):
+    return dict(line.split("=", 1) for line in text.splitlines())
+
+
+def test_failing_verify_prints_a_reproduction_line(monkeypatch, capsys):
+    args = ["verify", "--seed", "1", "--cases", "20"]
+    assert main([*args, "--format", "machine"]) == 0
+    assert "reproduce" not in capsys.readouterr().out
+    det = randomcheck.theorem_det
+    monkeypatch.setattr(randomcheck, "theorem_det", lambda *args: det(*args) * 2)
+    assert main([*args, "--format", "machine"]) == 5
+    fields = _machine_fields(capsys.readouterr().out)
+    case = int(fields["first_failure"].split(" case ", 1)[1].split(":", 1)[0])
+    assert fields["reproduce"] == f"meetjoin verify --seed 1 --cases {case + 1}"
+    # the printed command replays the same first failure, in both formats
+    replay = fields["reproduce"].split()[1:]
+    assert main([*replay, "--format", "machine"]) == 5
+    assert _machine_fields(capsys.readouterr().out)["first_failure"] == fields["first_failure"]
+    assert main(replay) == 5
+    assert f"  reproduce: {fields['reproduce']}" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("mode, members", [(MEET, [1, 2, 3, 6]), (JOIN, [2, 4, 6, 12])])
 def test_closed_set_tabulates_psi_once(monkeypatch, capsys, mode, members):
     calls = []
@@ -184,7 +206,7 @@ def test_closedness_is_asked_once_per_request(monkeypatch, capsys, tmp_path):
         ([*closed, "--family", "id"], 1),  # the family's domain only
         ([*closed, "--functions", str(functions)], 0),
         (["analyze", "--divisors", "--set", "4", "6", "--family", "id"], 1),
-        (["verify", "--seed", "1", "--cases", "100"], 212),
+        (["verify", "--seed", "1", "--cases", "100"], 183),
     ):
         calls.clear()
         assert main(argv) == 0
