@@ -10,6 +10,11 @@ entry. All three eliminations are fraction-free over Z[i]: determinant
 and rank by Bareiss condensation with row pivoting, the inverse by
 Gauss-Jordan on [A | D*I]; each division, by the previous pivot, is
 exact. The product is (A*B) / (Da*Db) and skips zero terms.
+
+A matrix keeps its integer form once made: the first kernel that needs
+it fills a private slot, later kernels on the same matrix read it, and
+the eliminations work on copies of its rows. The slot lives and dies
+with the matrix and takes no part in equality or hashing.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .scalar import ONE, ZERO, Scalar, as_scalar
 class Matrix:
     """Immutable rectangular grid of Scalars."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_ints")
 
     def __init__(self, entries: Iterable[Sequence]):
         grid = tuple(
@@ -40,6 +45,7 @@ class Matrix:
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -80,6 +86,13 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.entries for e in row)
 
+    def _int_form(self) -> tuple[list, int]:
+        """The integer form `_gaussian(self.entries)`, made on first use and
+        kept; callers that eliminate in place copy its rows."""
+        if self._ints is None:
+            object.__setattr__(self, "_ints", _gaussian(self.entries))
+        return self._ints
+
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.entries))
 
@@ -90,8 +103,8 @@ class Matrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        a, da = _gaussian(self.entries)
-        b, db = _gaussian(other.entries)
+        a, da = self._int_form()
+        b, db = other._int_form()
         den = da * db
         # the nonzero entries of each row of b, with their column
         terms = [[(j, br, bi) for j, (br, bi) in enumerate(row) if br or bi] for row in b]
@@ -144,16 +157,16 @@ class Matrix:
         """
         if not self.is_square:
             raise DimensionError("determinant needs a square matrix")
-        work, den = _gaussian(self.entries)
-        rank, sign, (re, im) = _echelon(work, self.cols)
+        ints, den = self._int_form()
+        rank, sign, (re, im) = _echelon([list(row) for row in ints], self.cols)
         if rank < self.rows:
             return ZERO
         return _scalar(sign * re, sign * im, den**self.rows)
 
     def rank(self) -> int:
         """Exact rank by fraction-free (Bareiss) row echelon reduction over Z[i]."""
-        work, _ = _gaussian(self.entries)
-        return _echelon(work, self.cols)[0]
+        ints, _ = self._int_form()
+        return _echelon([list(row) for row in ints], self.cols)[0]
 
     def inverse(self) -> "Matrix":
         """Exact inverse by fraction-free Gauss-Jordan elimination over Z[i].
@@ -164,9 +177,10 @@ class Matrix:
         if not self.is_square:
             raise DimensionError("inverse needs a square matrix")
         n = self.rows
-        work, den = _gaussian(self.entries)
-        for i, row in enumerate(work):
-            row.extend((den, 0) if j == i else (0, 0) for j in range(n))
+        ints, den = self._int_form()
+        work = [
+            row + [(den, 0) if j == i else (0, 0) for j in range(n)] for i, row in enumerate(ints)
+        ]
         prev = (1, 0)
         for c in range(n):
             pivot = next((i for i in range(c, n) if work[i][c] != (0, 0)), None)

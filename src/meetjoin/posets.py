@@ -14,6 +14,7 @@ elements are broken stably by first appearance.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     UnknownElementError,
 )
 from .matrix import Matrix
-from .scalar import ONE, ZERO
+from .scalar import ONE, ZERO, Scalar
 
 MEET = "meet"
 JOIN = "join"
@@ -413,21 +414,25 @@ def mobius_matrix(closure: ClosureSet) -> Matrix:
     """Möbius function of the closure set's own order, as a square matrix.
 
     Standard recursion: mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z) over
-    x <= z < y, with z ranging inside the closure set. The result is the
-    exact inverse of the 0/1 matrix of the order relation (the zeta matrix).
+    x <= z < y, with z ranging inside the closure set. The values are
+    integers, so the recursion runs on Python ints and each becomes a
+    Scalar once at the end. The result is the exact inverse of the 0/1
+    matrix of the order relation (the zeta matrix).
     """
     backend = closure.backend
     elems = closure.elements
     m = len(elems)
-    grid = [[ZERO] * m for _ in range(m)]
+    grid = [[0] * m for _ in range(m)]
     for i in range(m):
-        grid[i][i] = ONE
+        grid[i][i] = 1
         for j in range(i + 1, m):
             if not backend.leq(elems[i], elems[j]):
                 continue
-            total = ZERO
+            total = 0
             for v in range(i, j):
                 if backend.leq(elems[i], elems[v]) and backend.leq(elems[v], elems[j]):
-                    total = total + grid[i][v]
+                    total += grid[i][v]
             grid[i][j] = -total
-    return Matrix(grid)
+    return Matrix(
+        [[ZERO if v == 0 else ONE if v == 1 else Scalar(Fraction(v)) for v in row] for row in grid]
+    )

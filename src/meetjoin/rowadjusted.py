@@ -14,6 +14,10 @@ itself and the masked grid L = incidence . psi_grid is triangular, so
 det is the product of its diagonal and the inverse is mobius @ L^-1
 (mobius^T @ L^-1 in join mode). Psi has one route here, the recursion;
 the routes that only cross-check it live in `randomcheck`.
+
+The two recurrences, Psi and the substitution for L^-1, run on the
+integer core of `matrix`: values cleared to Gaussian integers (re, im)
+over one shared denominator, converted back to Scalars once per entry.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     NotClosedError,
     SingularPsiError,
 )
-from .matrix import Matrix
+from .matrix import Matrix, _gaussian, _scalar
 from .posets import (
     MEET,
     ClosureSet,
@@ -39,7 +43,7 @@ from .posets import (
     incidence_matrix,
     mobius_matrix,
 )
-from .scalar import ONE, ZERO, Scalar, as_scalar
+from .scalar import ONE, Scalar, as_scalar
 
 
 class FunctionFamily:
@@ -162,17 +166,24 @@ def _walk(closure: ClosureSet) -> list[tuple[int, list[int]]]:
 
 
 def _psi_recursion(family: FunctionFamily, closure: ClosureSet) -> Matrix:
+    """Psi grid over the closure: each row's values, cleared to Gaussian
+    integers over one denominator, minus the values already solved at the
+    related elements."""
     elems = closure.elements
     steps = _walk(closure)
+    # read row by row in walk order, so the first missing value to raise is
+    # the one the recursion would reach first
+    ints, den = _gaussian([[family.value(i, elems[k]) for k, _ in steps] for i in range(family.n)])
     rows = []
-    for i in range(family.n):
-        values: list[Scalar] = [ZERO] * len(elems)
-        for k, related in steps:
-            total = family.value(i, elems[k])
+    for read in ints:
+        values = [(0, 0)] * len(elems)
+        for (k, related), (re, im) in zip(steps, read):
             for v in related:
-                total = total - values[v]
-            values[k] = total
-        rows.append(values)
+                vr, vi = values[v]
+                re -= vr
+                im -= vi
+            values[k] = (re, im)
+        rows.append([_scalar(re, im, den) for re, im in values])
     return Matrix(rows)
 
 
@@ -298,20 +309,53 @@ def theta_table(table: PsiTable) -> Matrix:
             raise SingularPsiError(i)
 
     # L (incidence . psi) is triangular in the walk order, so L @ Theta = I
-    # is solved by substitution, one row of Theta at a time.
-    psi = table.grid
+    # is solved by substitution, one row at a time. Fraction-free over Z[i]:
+    # with L = P / D, Theta = D * P^-1, and row k of P^-1 is Y_k / d_k, where
+    # d_k is the product of the pivots P[u][u] walked up to and including k.
+    # Then Y_k[k] = d_(k-1) and Y_k[j] = -sum of P[k][u] * Y_u[j] * (d_(k-1)
+    # / d_u) over the related u; each quotient is an exact division in Z[i].
+    # A row Y_u is a dict over the columns it reaches; the others are zero.
+    ints, den = table.grid._int_form()
     n = len(diag)
-    theta = [[ZERO] * n for _ in range(n)]
-    solved: list[int] = []
+    solved: dict[int, tuple[dict, tuple]] = {}  # k -> (Y_k, d_k)
+    prev = (1, 0)
     for k, related in _walk(table.closure):
-        theta[k][k] = ONE / diag[k]
-        for j in solved:
-            total = ZERO
-            for u in related:
-                total = total + psi[k, u] * theta[u][j]
-            theta[k][j] = -(total / diag[k])
-        solved.append(k)
+        row = ints[k]
+        y = {k: prev}
+        for u in related:
+            pr, pi = row[u]
+            if not (pr or pi):
+                continue
+            yu, du = solved[u]
+            qr, qi = _exact_quotient(prev, du)
+            cr, ci = pr * qr - pi * qi, pr * qi + pi * qr
+            for j, (ur, ui) in yu.items():
+                sr, si = y.get(j, (0, 0))
+                y[j] = (sr - cr * ur + ci * ui, si - cr * ui - ci * ur)
+        (pr, pi), (dr, di) = row[k], prev
+        prev = (dr * pr - di * pi, dr * pi + di * pr)
+        solved[k] = (y, prev)
+    theta = []
+    for k in range(n):
+        y, (dr, di) = solved[k]
+        # divide D * Y_k by d_k as multiplication by its conjugate, then by its norm
+        norm = dr * dr + di * di
+        theta.append(
+            [
+                _scalar(den * (re * dr + im * di), den * (im * dr - re * di), norm)
+                for re, im in (y.get(j, (0, 0)) for j in range(n))
+            ]
+        )
     return Matrix(theta)
+
+
+def _exact_quotient(a: tuple, b: tuple) -> tuple:
+    """a / b for Gaussian integers b != 0 that divide a exactly."""
+    (ar, ai), (br, bi) = a, b
+    if not bi:
+        return ar // br, ai // br
+    norm = br * br + bi * bi
+    return (ar * br + ai * bi) // norm, (ai * br - ar * bi) // norm
 
 
 def theorem_inverse(table: PsiTable) -> Matrix:

@@ -8,15 +8,18 @@ and obviously correct. `zeta_matrix` is the partner that checks the
 library's Möbius matrices.
 
 `old_det`, `old_rank` and `old_inverse` are the library's former
-elimination kernels, kept verbatim on `Scalar` arithmetic as the
-reference for the integer kernels that replaced them.
+elimination kernels, and `old_psi_recursion`, `old_theta_table` and
+`old_mobius_matrix` its former recurrences behind the closed forms, all
+kept verbatim on `Scalar` arithmetic as the reference for the integer
+code that replaced them.
 """
 
 from itertools import combinations, permutations
 from math import gcd
 
-from meetjoin.errors import SingularError
+from meetjoin.errors import SingularError, SingularPsiError
 from meetjoin.matrix import Matrix
+from meetjoin.rowadjusted import _closed_diagonal, _walk
 from meetjoin.scalar import ONE, ZERO, Scalar
 
 
@@ -171,6 +174,66 @@ def old_inverse(m: Matrix) -> Matrix:
             work[i] = [a - factor * b for a, b in zip(work[i], work[c])]
             out[i] = [a - factor * b for a, b in zip(out[i], out[c])]
     return Matrix(out)
+
+
+def old_psi_recursion(family, closure) -> Matrix:
+    """The Psi recursion on Scalars: each value minus those already solved
+    at the related elements, walked bottom-up (top-down in join mode)."""
+    elems = closure.elements
+    steps = _walk(closure)
+    rows = []
+    for i in range(family.n):
+        values: list[Scalar] = [ZERO] * len(elems)
+        for k, related in steps:
+            total = family.value(i, elems[k])
+            for v in related:
+                total = total - values[v]
+            values[k] = total
+        rows.append(values)
+    return Matrix(rows)
+
+
+def old_theta_table(table) -> Matrix:
+    """Theta = L^-1 by forward substitution on Scalars."""
+    diag = _closed_diagonal(table)
+    for i, value in enumerate(diag):
+        if value.is_zero:
+            raise SingularPsiError(i)
+
+    # L (incidence . psi) is triangular in the walk order, so L @ Theta = I
+    # is solved by substitution, one row of Theta at a time.
+    psi = table.grid
+    n = len(diag)
+    theta = [[ZERO] * n for _ in range(n)]
+    solved: list[int] = []
+    for k, related in _walk(table.closure):
+        theta[k][k] = ONE / diag[k]
+        for j in solved:
+            total = ZERO
+            for u in related:
+                total = total + psi[k, u] * theta[u][j]
+            theta[k][j] = -(total / diag[k])
+        solved.append(k)
+    return Matrix(theta)
+
+
+def old_mobius_matrix(closure) -> Matrix:
+    """The Möbius recursion on Scalars."""
+    backend = closure.backend
+    elems = closure.elements
+    m = len(elems)
+    grid = [[ZERO] * m for _ in range(m)]
+    for i in range(m):
+        grid[i][i] = ONE
+        for j in range(i + 1, m):
+            if not backend.leq(elems[i], elems[j]):
+                continue
+            total = ZERO
+            for v in range(i, j):
+                if backend.leq(elems[i], elems[v]) and backend.leq(elems[v], elems[j]):
+                    total = total + grid[i][v]
+            grid[i][j] = -total
+    return Matrix(grid)
 
 
 def reachable_pairs(elements, covers) -> set:

@@ -27,6 +27,8 @@ from oracles import (
 )
 
 
+I = Scalar(0, 1)
+
 small_entries = st.builds(
     Scalar,
     st.fractions(min_value=-4, max_value=4, max_denominator=3),
@@ -81,6 +83,19 @@ def test_immutability():
     m = Matrix([[1]])
     with pytest.raises(AttributeError):
         m.rows = 2
+    with pytest.raises(AttributeError):
+        m._ints = None
+
+
+def test_integer_form_is_kept_and_invisible():
+    m = Matrix([[Fraction(1, 2), I], [3, Scalar(1, -1)]])
+    fresh = Matrix(m.entries)
+    det, inverse, rank = m.det(), m.inverse(), m.rank()
+    assert m @ inverse == Matrix.identity(2)
+    # eliminating worked on copies: the kept form still gives the same answers
+    assert (m.det(), m.inverse(), m.rank()) == (det, inverse, rank)
+    assert m == fresh and hash(m) == hash(fresh)
+    assert {m: 1}[fresh] == 1
 
 
 def test_identity_zeros_diagonal():
@@ -271,9 +286,6 @@ def test_rank_on_rectangles_matches_naive_and_old_kernel(m):
 def test_matmul_matches_triple_loop(pair):
     a, b = pair
     assert a @ b == naive_matmul(a, b)
-
-
-I = Scalar(0, 1)
 
 
 @pytest.mark.parametrize(

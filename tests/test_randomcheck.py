@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import meetjoin.matrix as matrix_module
 import meetjoin.posets as posets
 import meetjoin.randomcheck as randomcheck
 import meetjoin.rowadjusted as rowadjusted
@@ -21,6 +22,25 @@ from meetjoin.randomcheck import (
     run_verify,
 )
 from meetjoin.rowadjusted import build_matrix, closed_psi
+
+
+def test_check_closed_converts_its_matrix_once(monkeypatch):
+    # det, rank, inverse and both products share one integer form of the matrix
+    convert = matrix_module._gaussian
+    converted = []
+
+    def counting(entries):
+        converted.append(entries)
+        return convert(entries)
+
+    monkeypatch.setattr(matrix_module, "_gaussian", counting)
+    subset = Subset(DivisorLattice(), [1, 2, 3, 4, 6, 12])
+    family = make_family("id", subset.n, subset.members)
+    matrix = build_matrix(subset, family, MEET)
+    result = check_closed(closed_psi(subset, family, MEET), matrix)
+    assert not result.problems and result.inverse is not None
+    assert sum(1 for entries in converted if entries is matrix.entries) == 1
+    assert sum(1 for entries in converted if entries is result.inverse.entries) == 1
 
 
 def test_instances_are_deterministic():

@@ -23,6 +23,7 @@ from meetjoin.posets import (
     FinitePoset,
     Subset,
     closure_set,
+    mobius_matrix,
 )
 from meetjoin.rowadjusted import (
     FunctionFamily,
@@ -314,6 +315,51 @@ def test_closed_forms_need_no_elimination(monkeypatch, pentagon):
     assert rank_report(table) == RankReport(k=0, lower=3, upper=3)
     assert theorem_inverse(table) == naive_inverse(build_matrix(jchain, jfam, JOIN))
     assert ordinary_rank(jchain, {2: 2, 4: 4, 8: 8}, JOIN) == 3
+
+
+def test_recurrences_need_no_scalar_arithmetic(monkeypatch):
+    # Psi, Θ, the inverse and Möbius run on integers and build Scalars only
+    # at the end, so they still give the same values with Scalar arithmetic
+    # switched off.
+    i = Scalar(0, 1)
+    pentagon = FinitePoset(
+        [("x1", "x2"), ("x1", "x3"), ("x3", "x4"), ("x4", "x5"), ("x2", "x5")],
+        elements=["x1", "x2", "x3", "x4", "x5"],
+    )
+    cases = [
+        (
+            Subset(pentagon, pentagon.elements),
+            FunctionFamily(
+                [{x: Scalar((k + 1) ** 2, r) for k, x in enumerate(pentagon.elements)} for r in range(5)]
+            ),
+            MEET,
+        ),
+        (
+            Subset(DivisorLattice(), [1, 2, 3, 4, 5, 6]),
+            FunctionFamily(
+                [{d: Scalar(Fraction(d, r + 1), r - d) for d in range(1, 7)} for r in range(6)]
+            ),
+            MEET,
+        ),
+        (Subset(DivisorLattice(), [2, 4, 8]), FunctionFamily([{2: i, 4: 4, 8: Fraction(8, 3)}] * 3), JOIN),
+    ]
+    expected = []
+    for subset, family, mode in cases:
+        table = closed_psi(subset, family, mode)
+        expected.append(
+            (table.grid, theta_table(table), theorem_inverse(table), mobius_matrix(table.closure))
+        )
+
+    def no_arithmetic(*args):
+        raise AssertionError("a recurrence ran Scalar arithmetic")
+
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
+        monkeypatch.setattr(Scalar, name, no_arithmetic)
+
+    for (subset, family, mode), want in zip(cases, expected):
+        table = psi_table(subset, family, mode, ClosureSet.from_subset(subset, mode))
+        got = (table.grid, theta_table(table), theorem_inverse(table), mobius_matrix(table.closure))
+        assert got == want
 
 
 def test_theorem_inverse_divisor_pair():
