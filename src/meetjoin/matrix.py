@@ -9,7 +9,8 @@ entry denominators, run on Python ints, and convert back once per output
 entry. All three eliminations are fraction-free over Z[i]: determinant
 and rank by Bareiss condensation with row pivoting, the inverse by
 Gauss-Jordan on [A | D*I]; each division, by the previous pivot, is
-exact. The product is (A*B) / (Da*Db) and skips zero terms.
+exact. The product is (A*B) / (Da*Db) and skips zero terms. The
+entrywise `+`, `-` and negation stay on Scalars; no closed form uses them.
 
 A matrix keeps its integer form once made: the first kernel that needs
 it fills a private slot, later kernels on the same matrix read it, and
@@ -119,16 +120,6 @@ class Matrix:
                         sum_im[j] += ar * bi + ai * br
             out.append([_scalar(re, im, den) for re, im in zip(sum_re, sum_im)])
         return Matrix(out)
-
-    def hadamard(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("hadamard product needs equal dimensions")
-        return Matrix(
-            [
-                [a * b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
 
     def __add__(self, other):
         if not isinstance(other, Matrix):

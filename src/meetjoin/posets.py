@@ -4,7 +4,9 @@ Two backends provide the partial order: a finite poset built from cover
 pairs, and the (conceptually infinite) divisor lattice on positive
 integers where meet is gcd and join is lcm. On top of them live the
 ordered subset selections, one-step meet/join closures, incidence and
-Möbius matrices.
+Möbius matrices. A closure set asks `leq` about its elements once, when
+it is built; its incidence and Möbius matrices, and the recursions of
+`rowadjusted`, read the answers it keeps.
 
 Every listing of elements in this module is kept in a linear extension:
 a <= b implies a appears no later than b. Ties between incomparable
@@ -300,6 +302,11 @@ class ClosureSet:
     In meet mode it must contain every pairwise meet of the subset it
     serves (dually for join mode); `validate_for` checks that. Elements
     are kept in a linear extension.
+
+    `below[k]` lists the indices strictly below index k. `walk` is the
+    solving order of the recursions, each index paired with those it
+    depends on: bottom-up with those below it in meet mode, top-down with
+    those above it in join mode, so each is walked before its dependents.
     """
 
     def __init__(self, backend: OrderBackend, elements: Sequence, mode: str):
@@ -315,6 +322,16 @@ class ClosureSet:
         self.backend = backend
         self.elements = elements
         self._index = {x: i for i, x in enumerate(elements)}
+        # sorted, so only an earlier element can be below a later one
+        m = len(elements)
+        lt = [[j < k and backend.leq(elements[j], elements[k]) for k in range(m)] for j in range(m)]
+        self.below = tuple(tuple(j for j in range(k) if lt[j][k]) for k in range(m))
+        if self.mode == MEET:
+            self._related, order = self.below, range(m)
+        else:
+            self._related = tuple(tuple(k for k in range(m - 1, j, -1) if lt[j][k]) for j in range(m))
+            order = range(m - 1, -1, -1)
+        self.walk = tuple((k, self._related[k]) for k in order)
 
     @classmethod
     def from_subset(cls, subset: Subset, mode: str) -> "ClosureSet":
@@ -330,6 +347,12 @@ class ClosureSet:
 
     def index(self, x) -> int:
         return self._index[x]
+
+    def cone(self, x) -> frozenset:
+        """Indices at or below element x in meet mode, at or above it in
+        join mode: where x's row of an incidence matrix is 1."""
+        k = self._index[x]
+        return frozenset((k, *self._related[k]))
 
     def validate_for(self, subset: Subset):
         if self.backend != subset.backend:
@@ -394,19 +417,13 @@ def incidence_matrix(subset: Subset, closure: ClosureSet) -> Matrix:
     """0/1 matrix relating the subset to the closure set.
 
     Meet mode: entry (i, j) is 1 iff d_j <= x_i. Join mode: 1 iff x_i <= d_j.
+    An admissible closure set holds each x_i, its meet (join) with itself.
     """
     closure.validate_for(subset)
-    backend = subset.backend
-    if closure.mode == MEET:
-        rows = [
-            [ONE if backend.leq(d, x) else ZERO for d in closure.elements]
-            for x in subset.members
-        ]
-    else:
-        rows = [
-            [ONE if backend.leq(x, d) else ZERO for d in closure.elements]
-            for x in subset.members
-        ]
+    rows = []
+    for x in subset.members:
+        ones = closure.cone(x)
+        rows.append([ONE if j in ones else ZERO for j in range(closure.m)])
     return Matrix(rows)
 
 
@@ -414,25 +431,22 @@ def mobius_matrix(closure: ClosureSet) -> Matrix:
     """Möbius function of the closure set's own order, as a square matrix.
 
     Standard recursion: mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z) over
-    x <= z < y, with z ranging inside the closure set. The values are
-    integers, so the recursion runs on Python ints and each becomes a
-    Scalar once at the end. The result is the exact inverse of the 0/1
-    matrix of the order relation (the zeta matrix).
+    x <= z < y, with z ranging inside the closure set. Row i is zero
+    before i and at every z not above d_i, so the sum may run over all of
+    `closure.below[j]`. The values are integers, so the recursion runs on
+    Python ints and each becomes a Scalar once at the end. The result is
+    the exact inverse of the 0/1 matrix of the order relation (the zeta
+    matrix).
     """
-    backend = closure.backend
-    elems = closure.elements
-    m = len(elems)
-    grid = [[0] * m for _ in range(m)]
+    below = closure.below
+    m = closure.m
+    grid = []
     for i in range(m):
-        grid[i][i] = 1
+        row = [0] * m
+        row[i] = 1
         for j in range(i + 1, m):
-            if not backend.leq(elems[i], elems[j]):
-                continue
-            total = 0
-            for v in range(i, j):
-                if backend.leq(elems[i], elems[v]) and backend.leq(elems[v], elems[j]):
-                    total += grid[i][v]
-            grid[i][j] = -total
+            row[j] = -sum(row[v] for v in below[j])
+        grid.append(row)
     return Matrix(
         [[ZERO if v == 0 else ONE if v == 1 else Scalar(Fraction(v)) for v in row] for row in grid]
     )

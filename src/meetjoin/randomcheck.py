@@ -36,7 +36,6 @@ from .posets import (
     Subset,
     closed_hull,
     closure_set,
-    incidence_matrix,
     linear_extension,
     mobius_matrix,
 )
@@ -174,8 +173,9 @@ def random_instance(
     """Draw one instance; retries until the needed meets/joins exist.
 
     The closure set of the final subset is built once, here; it is what
-    raises when a meet or join is missing (in the forced-closed case
-    `closed_hull` raises first).
+    raises when a meet or join is missing. A forced-closed subset comes
+    from `closed_hull`, which has already raised or shown it closed, and
+    is its own closure set.
     """
     for _ in range(300):
         picked = mode if mode is not None else rng.choice((MEET, JOIN))
@@ -188,7 +188,9 @@ def random_instance(
                 subset, universe, label = _poset_instance(
                     rng, picked, force_closed, max_n
                 )
-            closure = closure_set(subset, picked)
+            closure = (
+                ClosureSet.from_subset(subset, picked) if force_closed else closure_set(subset, picked)
+            )
         except (NoMeetError, NoJoinError, NotSortedError):
             continue
         family, identical = _random_family(rng, subset.n, universe)
@@ -325,7 +327,8 @@ def check_instance(
     fact = factorize(subset, family, mode, minimal)
     product = fact.product
     if fault_negate_psi:
-        product = (-fact.psi_grid).hadamard(fact.incidence) @ fact.incidence.transpose()
+        # negating Psi negates the product, which is linear in it
+        product = -product
     report.tally("factorization")
     if product != matrix:
         report.fail(
@@ -391,7 +394,7 @@ def check_instance(
 
     report.tally("psi_from_matrix")
     recovered = psi_from_matrix(matrix, subset, mode)
-    if recovered != incidence_matrix(subset, table.closure).hadamard(table.grid):
+    if recovered != table.masked():
         report.fail(
             "psi_from_matrix", case, inst.label,
             "grid recovered from the matrix differs from the factorization grid",

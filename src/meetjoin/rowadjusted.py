@@ -15,7 +15,9 @@ det is the product of its diagonal and the inverse is mobius @ L^-1
 (mobius^T @ L^-1 in join mode). Psi has one route here, the recursion;
 the routes that only cross-check it live in `randomcheck`.
 
-The two recurrences, Psi and the substitution for L^-1, run on the
+The entrywise product is a selection, not arithmetic: the masked grid
+keeps Psi where the incidence matrix is 1. The recurrences, Psi and the
+substitution for L^-1, walk the closure set's own `walk` and run on the
 integer core of `matrix`: values cleared to Gaussian integers (re, im)
 over one shared denominator, converted back to Scalars once per entry.
 """
@@ -43,7 +45,7 @@ from .posets import (
     incidence_matrix,
     mobius_matrix,
 )
-from .scalar import ONE, Scalar, as_scalar
+from .scalar import ONE, ZERO, Scalar, as_scalar
 
 
 class FunctionFamily:
@@ -92,6 +94,15 @@ class PsiTable:
     def diagonal(self) -> list[Scalar]:
         """Values at the subset's own members, in row order."""
         return [self.grid[i, self.closure.index(x)] for i, x in enumerate(self.subset.members)]
+
+    def masked(self) -> Matrix:
+        """The entrywise product of the incidence matrix and the grid: row i
+        keeps its values on `closure.cone(x_i)` and is zero elsewhere."""
+        rows = []
+        for x, row in zip(self.subset.members, self.grid.entries):
+            ones = self.closure.cone(x)
+            rows.append([v if j in ones else ZERO for j, v in enumerate(row)])
+        return Matrix(rows)
 
 
 @dataclass(frozen=True)
@@ -143,34 +154,12 @@ def psi_table(
     return PsiTable(subset, mode, closure, _psi_recursion(family, closure))
 
 
-def _walk(closure: ClosureSet) -> list[tuple[int, list[int]]]:
-    """Closure indices in solving order, each with the indices it depends on.
-
-    Meet mode walks bottom-up and pairs each element with those strictly
-    below it; join mode walks top-down and pairs it with those strictly
-    above. Every related index is walked before the element itself.
-    """
-    leq = closure.backend.leq
-    elems = closure.elements
-    m = len(elems)
-    if closure.mode == MEET:
-        order, precedes = range(m), leq
-    else:
-        order, precedes = range(m - 1, -1, -1), lambda a, b: leq(b, a)
-    walked: list[int] = []
-    steps = []
-    for k in order:
-        steps.append((k, [v for v in walked if precedes(elems[v], elems[k])]))
-        walked.append(k)
-    return steps
-
-
 def _psi_recursion(family: FunctionFamily, closure: ClosureSet) -> Matrix:
     """Psi grid over the closure: each row's values, cleared to Gaussian
     integers over one denominator, minus the values already solved at the
     related elements."""
     elems = closure.elements
-    steps = _walk(closure)
+    steps = closure.walk
     # read row by row in walk order, so the first missing value to raise is
     # the one the recursion would reach first
     ints, den = _gaussian([[family.value(i, elems[k]) for k, _ in steps] for i in range(family.n)])
@@ -225,12 +214,12 @@ def factorize(
     _require_family(subset, family)
     closure = _resolve_closure(subset, mode, closure)
     incidence = incidence_matrix(subset, closure)
-    psi_grid = psi_table(subset, family, mode, closure).grid
-    masked = incidence.hadamard(psi_grid)
+    table = PsiTable(subset, mode, closure, _psi_recursion(family, closure))
+    masked = table.masked()
     return Factorization(
         mode=mode,
         incidence=incidence,
-        psi_grid=psi_grid,
+        psi_grid=table.grid,
         masked_psi=masked,
         product=masked @ incidence.transpose(),
     )
@@ -250,7 +239,7 @@ def closed_psi(subset: Subset, family: FunctionFamily, mode: str = MEET) -> PsiT
 
 def _closed_diagonal(table: PsiTable) -> list[Scalar]:
     """The diagonal of a table over its own subset, the one kind of table
-    whose diagonal is `grid[i, i]` and whose `_walk` indices are row indices;
+    whose diagonal is `grid[i, i]` and whose `walk` indices are row indices;
     any other (a larger closure set, the subset in another order) is refused."""
     if table.closure.elements != table.subset.members:
         raise NotClosedError(f"the Psi table is not over the {table.mode} closed subset itself")
@@ -280,14 +269,14 @@ def rank_report(table: PsiTable) -> RankReport:
     """Rank trichotomy for a closed set, from its recursion table alone.
 
     The matrix L @ E^T (E unit-triangular) is zero iff L is; row i of L
-    holds Psi at x_i and at the elements `_walk` relates to x_i."""
+    holds Psi at x_i and at the elements the closure's `walk` relates to x_i."""
     diag = _closed_diagonal(table)
     k = sum(1 for v in diag if v.is_zero)
     n = len(diag)
     if k == 0:
         lower = upper = n
     elif k == n and all(
-        table.grid[i, u].is_zero for i, related in _walk(table.closure) for u in related
+        table.grid[i, u].is_zero for i, related in table.closure.walk for u in related
     ):
         lower = upper = 0
     else:
@@ -319,7 +308,7 @@ def theta_table(table: PsiTable) -> Matrix:
     n = len(diag)
     solved: dict[int, tuple[dict, tuple]] = {}  # k -> (Y_k, d_k)
     prev = (1, 0)
-    for k, related in _walk(table.closure):
+    for k, related in table.closure.walk:
         row = ints[k]
         y = {k: prev}
         for u in related:

@@ -11,7 +11,10 @@ library's Möbius matrices.
 elimination kernels, and `old_psi_recursion`, `old_theta_table` and
 `old_mobius_matrix` its former recurrences behind the closed forms, all
 kept verbatim on `Scalar` arithmetic as the reference for the integer
-code that replaced them.
+code that replaced them. `old_walk` is the former solving order of the
+recursions, read from `leq`, the reference for the order table a
+`ClosureSet` keeps; `masked_by_product` is the entrywise product that
+`PsiTable.masked` replaced.
 """
 
 from itertools import combinations, permutations
@@ -19,7 +22,8 @@ from math import gcd
 
 from meetjoin.errors import SingularError, SingularPsiError
 from meetjoin.matrix import Matrix
-from meetjoin.rowadjusted import _closed_diagonal, _walk
+from meetjoin.posets import MEET
+from meetjoin.rowadjusted import _closed_diagonal
 from meetjoin.scalar import ONE, ZERO, Scalar
 
 
@@ -176,11 +180,41 @@ def old_inverse(m: Matrix) -> Matrix:
     return Matrix(out)
 
 
+def old_walk(closure) -> list[tuple[int, list[int]]]:
+    """Closure indices in solving order, each with the indices it depends on.
+
+    Meet mode walks bottom-up and pairs each element with those strictly
+    below it; join mode walks top-down and pairs it with those strictly
+    above. Every related index is walked before the element itself.
+    """
+    leq = closure.backend.leq
+    elems = closure.elements
+    m = len(elems)
+    if closure.mode == MEET:
+        order, precedes = range(m), leq
+    else:
+        order, precedes = range(m - 1, -1, -1), lambda a, b: leq(b, a)
+    walked: list[int] = []
+    steps = []
+    for k in order:
+        steps.append((k, [v for v in walked if precedes(elems[v], elems[k])]))
+        walked.append(k)
+    return steps
+
+
+def masked_by_product(incidence: Matrix, grid: Matrix) -> Matrix:
+    """The entrywise product incidence . grid, by Scalar multiplication."""
+    assert (incidence.rows, incidence.cols) == (grid.rows, grid.cols)
+    return Matrix(
+        [[a * b for a, b in zip(ra, rb)] for ra, rb in zip(incidence.entries, grid.entries)]
+    )
+
+
 def old_psi_recursion(family, closure) -> Matrix:
     """The Psi recursion on Scalars: each value minus those already solved
     at the related elements, walked bottom-up (top-down in join mode)."""
     elems = closure.elements
-    steps = _walk(closure)
+    steps = old_walk(closure)
     rows = []
     for i in range(family.n):
         values: list[Scalar] = [ZERO] * len(elems)
@@ -206,7 +240,7 @@ def old_theta_table(table) -> Matrix:
     n = len(diag)
     theta = [[ZERO] * n for _ in range(n)]
     solved: list[int] = []
-    for k, related in _walk(table.closure):
+    for k, related in old_walk(table.closure):
         theta[k][k] = ONE / diag[k]
         for j in solved:
             total = ZERO

@@ -46,6 +46,17 @@ over: 2 3
 f1: 2 3
 f2: 2 3
 """,
+    # a and b have no meet
+    "vee.poset": """\
+elements: a b c
+covers: a<c b<c
+""",
+    "vee.family": """\
+over: a b c
+f1: 1 2 3
+f2: 4 5 6
+f3: 7 8 9
+""",
 }
 
 PENTAGON = ["--poset", "{dir}/pentagon.poset", "--functions", "{dir}/pentagon.family"]
@@ -68,6 +79,14 @@ RUNS = {
     "pentagon_analyze_column_adjusted": ["analyze", *PENTAGON, "--column-adjusted"],
     "pentagon_closure": ["closure", "--poset", "{dir}/pentagon.poset", "--format", "machine"],
     "pentagon_mobius": ["mobius", "--poset", "{dir}/pentagon.poset", "--format", "machine"],
+    "pentagon_closure_join": [
+        "closure", "--poset", "{dir}/pentagon.poset", "--mode", "join", "--format", "machine",
+    ],
+    "pentagon_mobius_join": [
+        "mobius", "--poset", "{dir}/pentagon.poset", "--mode", "join", "--format", "machine",
+    ],
+    # a join closure listed in another order than the set: 2 4 3 6 12
+    "divisors_mobius_join": ["mobius", "--divisors", "--set", "2", "3", "4", "6", "12", "--mode", "join"],
     # a set that is not closed, and a Gaussian family on divisors(12)
     "notclosed_analyze": ["analyze", "--divisors", "--set", "4", "6", "--format", "machine"],
     "gaussian_analyze_machine": ["analyze", "--divisors", *GAUSSIAN, "--format", "machine"],
@@ -76,13 +95,21 @@ RUNS = {
     # exit codes 2 (parse), 3 (order structure) and 4 (missing value)
     "exit_parse": ["analyze", "--divisors", "--set", "1", "x"],
     "exit_structure": ["analyze", "--divisors", "--set", "2", "1"],
+    "exit_structure_no_meet": [
+        "analyze", "--poset", "{dir}/vee.poset", "--functions", "{dir}/vee.family",
+    ],
     "exit_missing": [
         "analyze", "--divisors", "--set", "2", "3", "--functions", "{dir}/missing.family",
     ],
 }
 
-# recorded at commit 5e31b9c
+# recorded at commit 5e31b9c; divisors_mobius_join, exit_structure_no_meet,
+# pentagon_closure_join and pentagon_mobius_join at commit 6e91a81
 DIGESTS = {
+    "divisors_mobius_join": "0049366b5e8765c1f1fe825ec5bd398ff4578529923ad229adb201014b9a7a55",
+    "exit_structure_no_meet": "ef89f86336252aa0d430971bb474504acc81893e84caad45632e7b4525679a14",
+    "pentagon_closure_join": "eccd7be3316555ede5e6dbfd63ec319542c455d8c62f42b5753a955bc6bcfc97",
+    "pentagon_mobius_join": "3d8df83a461e5b1997c1f560ab63a00a64e6857646d8035d00b975372a4133dd",
     "exit_missing": "ec718721053cc6d577994ab5c3a214480cb8557c3e5693e037d49f831f475c07",
     "exit_parse": "68b5dd6bf4371fb3df44db96d2550d42895d059b445e4881fef86e8eef2e6175",
     "exit_structure": "2bc730d261fd06ac2a4c4431d144023b0d5c0eb92de503d4d98e75917f9de86b",

@@ -112,10 +112,9 @@ def test_matmul_shapes_and_values():
         a @ Matrix([[1, 2, 3]])
 
 
-def test_hadamard_and_addition():
+def test_addition_and_negation():
     a = Matrix([[1, 2], [3, 4]])
     b = Matrix([[5, 6], [7, 8]])
-    assert a.hadamard(b) == Matrix([[5, 12], [21, 32]])
     assert a + b == Matrix([[6, 8], [10, 12]])
     assert b - a == Matrix([[4, 4], [4, 4]])
     assert -a == Matrix([[-1, -2], [-3, -4]])

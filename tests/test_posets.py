@@ -238,9 +238,21 @@ def test_admissibility_validation():
         )
 
 
-def test_closure_set_rejects_unsorted():
-    with pytest.raises(NotSortedError):
-        ClosureSet(DivisorLattice(), [4, 2], MEET)
+def test_closure_set_rejects_unsorted(pentagon):
+    # the message names the first violation of a scan over the pairs
+    cases = [
+        (DivisorLattice(), [4, 2], "2 precedes 4"),
+        (DivisorLattice(), [6, 4, 2, 3, 12], "2 precedes 6"),
+        (pentagon, ["x2", "x4", "x3", "x1", "x5"], "'x1' precedes 'x2'"),
+        (pentagon, ["x1", "x5", "x2"], "'x2' precedes 'x5'"),
+    ]
+    for backend, elements, message in cases:
+        for mode in (MEET, JOIN):
+            with pytest.raises(NotSortedError) as err:
+                ClosureSet(backend, elements, mode)
+            assert str(err.value) == (
+                f"closure set violates the ordering: {message} in the order but is listed later"
+            )
 
 
 def test_mobius_pentagon(pentagon):

@@ -38,6 +38,8 @@ from meetjoin.rowadjusted import (
 )
 from meetjoin.scalar import ZERO, Scalar
 
+from oracles import masked_by_product
+
 
 values = st.builds(
     Scalar,
@@ -97,7 +99,7 @@ def test_factorization_identity_and_d_invariance(inst):
     direct = build_matrix(subset, family, mode)
     fact = factorize(subset, family, mode)
     assert fact.product == direct
-    assert fact.masked_psi == fact.incidence.hadamard(fact.psi_grid)
+    assert fact.masked_psi == masked_by_product(fact.incidence, fact.psi_grid)
 
     extras = [x for x in universe if x not in set(closure_set(subset, mode).elements)]
     if extras:

@@ -226,7 +226,7 @@ def test_closedness_is_asked_once_per_request(monkeypatch, capsys, tmp_path):
         ([*closed, "--family", "id"], 1),  # the family's domain only
         ([*closed, "--functions", str(functions)], 0),
         (["analyze", "--divisors", "--set", "4", "6", "--family", "id"], 1),
-        (["verify", "--seed", "1", "--cases", "100"], 183),
+        (["verify", "--seed", "1", "--cases", "100"], 150),
     ):
         calls.clear()
         assert main(argv) == 0

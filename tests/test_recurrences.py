@@ -6,6 +6,9 @@ former Scalar loop kept in `oracles.py`, on divisor and finite-poset
 closures in both modes, with Gaussian values of which a third are zero:
 equal grids, and equal errors where the old loop raised, missing values
 and zero recursion diagonals included.
+
+The order table a `ClosureSet` keeps (`below` and `walk`) is compared the
+same way with the former `leq` walk and a direct `leq` scan.
 """
 
 from fractions import Fraction
@@ -19,6 +22,7 @@ from meetjoin.numtheory import divisors_of
 from meetjoin.posets import (
     JOIN,
     MEET,
+    ClosureSet,
     DivisorLattice,
     FinitePoset,
     Subset,
@@ -30,7 +34,7 @@ from meetjoin.posets import (
 from meetjoin.rowadjusted import FunctionFamily, closed_psi, psi_table, theta_table
 from meetjoin.scalar import ZERO, Scalar
 
-from oracles import old_mobius_matrix, old_psi_recursion, old_theta_table
+from oracles import old_mobius_matrix, old_psi_recursion, old_theta_table, old_walk
 
 
 gaussian = st.builds(
@@ -95,6 +99,30 @@ def outcome(fn, *args):
         return fn(*args)
     except MeetJoinError as exc:
         return type(exc).__name__, str(exc)
+
+
+def assert_table_matches_leq(closure):
+    leq, elems = closure.backend.leq, closure.elements
+    assert [(k, list(related)) for k, related in closure.walk] == old_walk(closure)
+    assert closure.below == tuple(
+        tuple(j for j in range(k) if leq(elems[j], elems[k])) for k in range(len(elems))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(backends(), st.sampled_from((MEET, JOIN)), st.data())
+def test_order_table_matches_leq(backend_universe, mode, data):
+    # any sorted selection is a ClosureSet, lattice or not; where the
+    # selection has one, its closure is checked too
+    backend, universe = backend_universe
+    picked = data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=7, unique=True))
+    elements = linear_extension(backend, picked)
+    assert_table_matches_leq(ClosureSet(backend, elements, mode))
+    try:
+        closure = closure_set(Subset(backend, elements), mode)
+    except (NoMeetError, NoJoinError):
+        return
+    assert_table_matches_leq(closure)
 
 
 @settings(max_examples=150, deadline=None)

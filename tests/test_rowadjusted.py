@@ -4,7 +4,9 @@ Every closed form is checked against the brute-force oracles from
 `oracles.py`, which share no code with the library's elimination.
 """
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from meetjoin.posets import (
     FinitePoset,
     Subset,
     closure_set,
+    incidence_matrix,
     mobius_matrix,
 )
 from meetjoin.rowadjusted import (
@@ -41,7 +44,14 @@ from meetjoin.rowadjusted import (
 from meetjoin.randomcheck import psi_by_mobius, psi_from_matrix
 from meetjoin.scalar import ONE, ZERO, Scalar
 
-from oracles import naive_det, naive_inverse, naive_rank
+from oracles import (
+    naive_det,
+    naive_inverse,
+    naive_rank,
+    old_mobius_matrix,
+    old_psi_recursion,
+    old_theta_table,
+)
 
 
 PENTAGON_MATRIX = Matrix(
@@ -347,7 +357,13 @@ def test_recurrences_need_no_scalar_arithmetic(monkeypatch):
     for subset, family, mode in cases:
         table = closed_psi(subset, family, mode)
         expected.append(
-            (table.grid, theta_table(table), theorem_inverse(table), mobius_matrix(table.closure))
+            (
+                table.grid,
+                theta_table(table),
+                theorem_inverse(table),
+                mobius_matrix(table.closure),
+                factorize(subset, family, mode),
+            )
         )
 
     def no_arithmetic(*args):
@@ -358,8 +374,74 @@ def test_recurrences_need_no_scalar_arithmetic(monkeypatch):
 
     for (subset, family, mode), want in zip(cases, expected):
         table = psi_table(subset, family, mode, ClosureSet.from_subset(subset, mode))
-        got = (table.grid, theta_table(table), theorem_inverse(table), mobius_matrix(table.closure))
+        got = (
+            table.grid,
+            theta_table(table),
+            theorem_inverse(table),
+            mobius_matrix(table.closure),
+            factorize(subset, family, mode),
+        )
         assert got == want
+
+
+def _no_leq(*args):
+    raise AssertionError("the order relation was read through leq again")
+
+
+def _gaussian_family(members):
+    return FunctionFamily(
+        [{x: Scalar((k + 1) ** 2, r) for k, x in enumerate(members)} for r in range(len(members))]
+    )
+
+
+@pytest.mark.parametrize("mode", [MEET, JOIN])
+def test_closure_set_answers_every_order_question(monkeypatch, mode):
+    # A closure set tabulates its order once. On divisors, meet and join
+    # are gcd and lcm, so once the set is built nothing reads leq.
+    subset = Subset(DivisorLattice(), [1, 2, 3, 6])
+    family = _gaussian_family(subset.members)
+    closure = ClosureSet.from_subset(subset, mode)
+    table = closed_psi(subset, family, mode)
+    matrix = build_matrix(subset, family, mode)
+    leq = subset.backend.leq
+    related = leq if mode == MEET else (lambda d, x: leq(x, d))
+    want = (
+        old_psi_recursion(family, closure),
+        matrix,
+        Matrix([[ONE if related(d, x) else ZERO for d in closure.elements] for x in subset.members]),
+        old_mobius_matrix(closure),
+        RankReport(k=0, lower=4, upper=4),
+        old_theta_table(table),
+        naive_inverse(matrix),
+    )
+
+    monkeypatch.setattr(DivisorLattice, "leq", _no_leq)
+    got = (
+        psi_table(subset, family, mode, closure).grid,
+        factorize(subset, family, mode, closure).product,
+        incidence_matrix(subset, closure),
+        mobius_matrix(closure),
+        rank_report(table),
+        theta_table(table),
+        theorem_inverse(table),
+    )
+    assert got == want
+
+
+@pytest.mark.parametrize("mode", [MEET, JOIN])
+def test_pentagon_table_answers_mobius_rank_and_theta(monkeypatch, mode, pentagon):
+    # a finite poset's meets read leq, so only what follows the table is checked
+    subset, _ = pentagon
+    family = _gaussian_family(subset.members)
+    table = closed_psi(subset, family, mode)
+    want = (
+        old_mobius_matrix(table.closure),
+        RankReport(k=0, lower=5, upper=5),
+        old_theta_table(table),
+    )
+
+    monkeypatch.setattr(FinitePoset, "leq", _no_leq)
+    assert (mobius_matrix(table.closure), rank_report(table), theta_table(table)) == want
 
 
 def test_theorem_inverse_divisor_pair():
@@ -486,3 +568,15 @@ def test_theta_table_singular_row():
     with pytest.raises(SingularPsiError) as err:
         theta_table(closed_psi(subset, family, MEET))
     assert "row 2" in str(err.value)
+
+
+def test_readme_library_block_does_what_its_comments_say():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.DOTALL).group(1)
+    names: dict = {}
+    exec(block, names)
+    assert names["det"] == 2
+    assert names["matrix"] == names["fact"].product
+    assert names["inverse"] @ names["matrix"] == Matrix.identity(3)
+    assert names["report"] == RankReport(k=0, lower=3, upper=3)
+    assert names["exact"] == 3
