@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DimensionError,
@@ -48,14 +48,12 @@ EXIT_MISSING = 4
 EXIT_MISMATCH = 5
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything a data subcommand needs, resolved from flags.
 
     `family` is None for subcommands without family flags.
     """
 
-    backend: OrderBackend
     backend_kind: str
     subset: Subset
     family: FunctionFamily | None
@@ -215,7 +213,6 @@ def _make_config(args) -> RunConfig:
     mode = args.mode
     family = _resolve_family(args, subset, mode) if hasattr(args, "family") else None
     return RunConfig(
-        backend=backend,
         backend_kind=kind,
         subset=subset,
         family=family,

@@ -6,8 +6,7 @@ everywhere. Errors carry the 1-based line number of the offense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ParseError
 from .matrix import Matrix
@@ -15,8 +14,7 @@ from .posets import DivisorLattice, FinitePoset, OrderBackend
 from .scalar import Scalar
 
 
-@dataclass(frozen=True)
-class PosetSpec:
+class PosetSpec(NamedTuple):
     """Outcome of parsing a poset file: an order backend plus the set of
     elements the file put in play (cover endpoints, or the `set:` line)."""
 

@@ -15,7 +15,7 @@ entrywise `+`, `-` and negation stay on Scalars; no closed form uses them.
 A matrix keeps its integer form once made: the first kernel that needs
 it fills a private slot, later kernels on the same matrix read it, and
 the eliminations work on copies of its rows. The slot lives and dies
-with the matrix and takes no part in equality or hashing.
+with the matrix and takes no part in equality, hashing or pickling.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        return Matrix, (self.entries,)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":

@@ -12,8 +12,8 @@ so a seed reproduces the exact run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     AdmissibilityError,
@@ -73,8 +73,7 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """One generated test case: a subset, its minimal closure set `closure`,
     and a family total on `universe`."""
 
@@ -87,20 +86,17 @@ class Instance:
     identical_rows: bool
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(NamedTuple):
     check: str
     case: int
     label: str
     detail: str
 
 
-@dataclass
 class VerifyReport:
-    seed: int
-    cases: int
-    counts: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
+    def __init__(self, seed: int, cases: int):
+        self.seed, self.cases = seed, cases
+        self.counts, self.failures = {}, []
 
     @property
     def ok(self) -> bool:
@@ -263,8 +259,7 @@ def psi_from_matrix(matrix: Matrix, subset: Subset, mode: str = MEET) -> Matrix:
     return matrix @ (mob if mode == MEET else mob.transpose())
 
 
-@dataclass(frozen=True)
-class ClosedCheck:
+class ClosedCheck(NamedTuple):
     """Closed forms of one closed instance: `det`, `rank` and `inverse` (None
     when det is zero), with `exact`, the rank by elimination, and `problems`,
     each failed check's message in the order det, rank, inverse."""

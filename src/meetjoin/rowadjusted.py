@@ -24,9 +24,8 @@ over one shared denominator, converted back to Scalars once per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     AdmissibilityError,
@@ -82,14 +81,21 @@ class FunctionFamily:
         return f"FunctionFamily({self.n} rows)"
 
 
-@dataclass(frozen=True)
 class PsiTable:
-    """Recursion values for every row of `subset` over a closure set, n x m."""
+    """Recursion values for every row of `subset` over a closure set, n x m (not a tuple)."""
 
-    subset: Subset
-    mode: str
-    closure: ClosureSet
-    grid: Matrix
+    __slots__ = ("subset", "mode", "closure", "grid")
+
+    def __init__(self, subset: Subset, mode: str, closure: ClosureSet, grid: Matrix):
+        self.subset, self.mode, self.closure, self.grid = subset, mode, closure, grid
+
+    def __eq__(self, other):
+        if not isinstance(other, PsiTable):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self.__slots__))
 
     def diagonal(self) -> list[Scalar]:
         """Values at the subset's own members, in row order."""
@@ -105,8 +111,7 @@ class PsiTable:
         return Matrix(rows)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """The structure decomposition of a row-adjusted matrix.
 
     product = masked_psi @ incidence^T holds exactly, and product equals
@@ -252,8 +257,7 @@ def theorem_det(table: PsiTable) -> Scalar:
     return prod(_closed_diagonal(table), start=ONE)
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     """Rank bounds from the diagonal recursion values.
 
     k counts the zero diagonal values. For a nonzero matrix, k = 0 forces

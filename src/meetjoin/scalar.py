@@ -1,15 +1,14 @@
 """Exact Gaussian-rational scalars, the ground field of every matrix here.
 
-A value is a pair of `fractions.Fraction` (real and imaginary part).
-Fractions keep themselves reduced with positive denominators, so equality
-is always bit-exact and no tolerance parameter exists anywhere.
+A value is an immutable pair of `fractions.Fraction` (real and imaginary
+part) in two slots. Fractions keep themselves reduced with positive
+denominators, so equality is bit-exact and no tolerance parameter exists.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
@@ -20,18 +19,22 @@ _IMAG_RE = re.compile(rf"(?P<im>[+-]?(?:\d+(?:/\d+)?)?)i")
 _REAL_RE = re.compile(_RAT)
 
 
-@dataclass(frozen=True)
 class Scalar:
-    """An element of Q(i), canonical by construction."""
+    """An element of Q(i), canonical by construction and immutable."""
 
-    real: Fraction = Fraction(0)
-    imag: Fraction = Fraction(0)
+    __slots__ = ("real", "imag")
 
-    def __post_init__(self):
-        if not isinstance(self.real, Fraction):
-            object.__setattr__(self, "real", Fraction(self.real))
-        if not isinstance(self.imag, Fraction):
-            object.__setattr__(self, "imag", Fraction(self.imag))
+    def __init__(self, real=Fraction(0), imag=Fraction(0)):
+        object.__setattr__(self, "real", real if isinstance(real, Fraction) else Fraction(real))
+        object.__setattr__(self, "imag", imag if isinstance(imag, Fraction) else Fraction(imag))
+
+    def __setattr__(self, *args):
+        raise AttributeError("Scalar is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Scalar, (self.real, self.imag)
 
     @classmethod
     def parse(cls, text: str) -> "Scalar":
@@ -158,16 +161,15 @@ def _coerce(value):
     if isinstance(value, Scalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return Scalar(Fraction(value))
+        return Scalar(value)
     return None
 
 
 def as_scalar(value) -> Scalar:
     """Coerce ints, Fractions, and scalar syntax strings to Scalar."""
-    if isinstance(value, Scalar):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Scalar(Fraction(value))
     if isinstance(value, str):
         return Scalar.parse(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact scalar")
+    scalar = _coerce(value)
+    if scalar is None:
+        raise TypeError(f"cannot interpret {value!r} as an exact scalar")
+    return scalar

@@ -8,7 +8,6 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -277,7 +276,7 @@ def test_exit_code_missing_value(capsys, tmp_path):
     [
         ("theorem_inverse", lambda inverse: inverse + Matrix.diagonal([1, 0, 0])),
         ("theorem_det", lambda det: det + 1),
-        ("rank_report", lambda rr: replace(rr, lower=rr.upper + 1, upper=rr.upper + 1)),
+        ("rank_report", lambda rr: rr._replace(lower=rr.upper + 1, upper=rr.upper + 1)),
     ],
     ids=["inverse", "det", "rank"],
 )

@@ -2,7 +2,6 @@
 
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -130,7 +129,7 @@ def test_closed_form_faults_are_caught(monkeypatch):
     monkeypatch.setattr(randomcheck, "theorem_det", lambda *args: det(*args) * 2)
     monkeypatch.setattr(
         randomcheck, "rank_report",
-        lambda *args: replace(rank(*args), lower=-2, upper=-1),
+        lambda *args: rank(*args)._replace(lower=-2, upper=-1),
     )
     report = run_verify(seed=1, cases=20)
     assert report.counts == clean.counts
