@@ -48,8 +48,10 @@ class Matrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "_ints", None)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return Matrix, (self.entries,)
@@ -186,12 +188,7 @@ class Matrix:
                 if i != c:
                     row[c + 1:] = _condense(row[c + 1:], top[c + 1:], top[c], row[c], prev)
             prev = top[c]
-        # divide by d as multiplication by its conjugate, then by its norm
-        dr, di = prev
-        norm = dr * dr + di * di
-        return Matrix(
-            [[_scalar(re * dr + im * di, im * dr - re * di, norm) for re, im in row[n:]] for row in work]
-        )
+        return _over([row[n:] for row in work], 1, prev)
 
     def __str__(self):
         text = [[str(e) for e in row] for row in self.entries]
@@ -227,6 +224,14 @@ def _scalar(re: int, im: int, den: int) -> Scalar:
     if not (re or im):
         return ZERO
     return Scalar(Fraction(re, den), Fraction(im, den))
+
+
+def _over(rows, den: int, d: tuple) -> Matrix:
+    """The matrix den * rows / d of Gaussian-integer rows, for a nonzero
+    Gaussian integer d: multiplied by its conjugate, divided by its norm."""
+    dr, di = d
+    norm, cr, ci = dr * dr + di * di, den * dr, den * di
+    return Matrix([[_scalar(x * cr + y * ci, y * cr - x * ci, norm) for x, y in row] for row in rows])
 
 
 def _condense(xs, ys, p, a, q) -> list:

@@ -6,7 +6,9 @@ integers where meet is gcd and join is lcm. On top of them live the
 ordered subset selections, one-step meet/join closures, incidence and
 Möbius matrices. A closure set asks `leq` about its elements once, when
 it is built; its incidence and Möbius matrices, and the recursions of
-`rowadjusted`, read the answers it keeps.
+`rowadjusted`, read the answers it keeps. `_substitute` is the one
+triangular solve along a closure's `walk`, behind Möbius and every
+recursion.
 
 Every listing of elements in this module is kept in a linear extension:
 a <= b implies a appears no later than b. Ties between incomparable
@@ -16,7 +18,6 @@ elements are broken stably by first appearance.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -28,8 +29,8 @@ from .errors import (
     NotSortedError,
     UnknownElementError,
 )
-from .matrix import Matrix
-from .scalar import ONE, ZERO, Scalar
+from .matrix import Matrix, _scalar
+from .scalar import ONE, ZERO
 
 MEET = "meet"
 JOIN = "join"
@@ -324,14 +325,11 @@ class ClosureSet:
         self._index = {x: i for i, x in enumerate(elements)}
         # sorted, so only an earlier element can be below a later one
         m = len(elements)
-        lt = [[j < k and backend.leq(elements[j], elements[k]) for k in range(m)] for j in range(m)]
-        self.below = tuple(tuple(j for j in range(k) if lt[j][k]) for k in range(m))
-        if self.mode == MEET:
-            self._related, order = self.below, range(m)
-        else:
-            self._related = tuple(tuple(k for k in range(m - 1, j, -1) if lt[j][k]) for j in range(m))
-            order = range(m - 1, -1, -1)
-        self.walk = tuple((k, self._related[k]) for k in order)
+        leq = backend.leq
+        self.below = tuple(tuple(j for j in range(k) if leq(elements[j], elements[k])) for k in range(m))
+        walk = tuple(enumerate(self.below))
+        self.walk = walk if self.mode == MEET else _reversed(walk)
+        self._related = dict(self.walk)
 
     @classmethod
     def from_subset(cls, subset: Subset, mode: str) -> "ClosureSet":
@@ -428,25 +426,65 @@ def incidence_matrix(subset: Subset, closure: ClosureSet) -> Matrix:
 
 
 def mobius_matrix(closure: ClosureSet) -> Matrix:
-    """Möbius function of the closure set's own order, as a square matrix.
-
-    Standard recursion: mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z) over
-    x <= z < y, with z ranging inside the closure set. Row i is zero
-    before i and at every z not above d_i, so the sum may run over all of
-    `closure.below[j]`. The values are integers, so the recursion runs on
-    Python ints and each becomes a Scalar once at the end. The result is
-    the exact inverse of the 0/1 matrix of the order relation (the zeta
-    matrix).
+    """Möbius function of the closure set's own order, as a square matrix:
+    the inverse of the zeta matrix, whose entry (x, y) is 1 iff x <= y.
+    Its transpose is unit triangular along the bottom-up walk of `below`,
+    so one substitution gives mu^T. This is Psi of the identity rows, too:
+    mu in meet mode, mu^T in join mode.
     """
-    below = closure.below
-    m = closure.m
-    grid = []
-    for i in range(m):
-        row = [0] * m
-        row[i] = 1
-        for j in range(i + 1, m):
-            row[j] = -sum(row[v] for v in below[j])
-        grid.append(row)
-    return Matrix(
-        [[ZERO if v == 0 else ONE if v == 1 else Scalar(Fraction(v)) for v in row] for row in grid]
-    )
+    rows, _ = _substitute(tuple(enumerate(closure.below)))
+    return Matrix([[_scalar(re, im, 1) for re, im in column] for column in zip(*rows)])
+
+
+def _reversed(walk: tuple) -> tuple:
+    """The walk of the transposed relation: the indices in reverse order,
+    each paired with the indices that list it as related."""
+    listed = {k: [] for k, _ in walk}
+    for k, related in reversed(walk):
+        for u in related:
+            listed[u].append(k)
+    return tuple((k, tuple(listed[k])) for k, _ in reversed(walk))
+
+
+def _substitute(walk: tuple, rhs=None, coeffs=None) -> tuple[list, tuple]:
+    """Solve T @ Y = rhs over Z[i], rhs the identity if None, for a square
+    T triangular along `walk`: row k of T is zero but at k and at the
+    indices `walk` pairs with k. Those entries are 1 without `coeffs`,
+    else T[k][u] = coeffs[k][u] as (re, im), with nonzero pivots.
+
+    Fraction-free: with d_k the product of the pivots walked up to and
+    including k, Y_k = W_k / d_k, where W_k is d_(k-1) * rhs[k] minus the
+    sum of T[k][u] * (d_(k-1) / d_u) * W_u over the related u, each
+    quotient exact. Returns the rows of d * Y, indexed like the walk's,
+    and d, the product of all the pivots.
+    """
+    m = len(walk)
+    rows, dens, prev = [None] * m, [None] * m, (1, 0)
+    for k, related in walk:
+        acc = [prev if j == k else (0, 0) for j in range(m)] if rhs is None else _scaled(rhs[k], prev)
+        for u in related:
+            cr, ci = (1, 0) if coeffs is None else coeffs[k][u]
+            if cr or ci:
+                qr, qi = _exact_quotient(prev, dens[u])
+                cr, ci = cr * qr - ci * qi, cr * qi + ci * qr
+                acc = [(ar - yr, ai - yi) for (ar, ai), (yr, yi) in zip(acc, _scaled(rows[u], (cr, ci)))]
+        if coeffs is not None:
+            (pr, pi), (dr, di) = coeffs[k][k], prev
+            prev = (dr * pr - di * pi, dr * pi + di * pr)
+        rows[k], dens[k] = acc, prev
+    # bring every row over the last denominator
+    return [_scaled(row, _exact_quotient(prev, d)) for row, d in zip(rows, dens)], prev
+
+
+def _scaled(row, c: tuple):
+    cr, ci = c
+    return row if c == (1, 0) else [(re * cr - im * ci, re * ci + im * cr) for re, im in row]
+
+
+def _exact_quotient(a: tuple, b: tuple) -> tuple:
+    """a / b for Gaussian integers b != 0 that divide a exactly."""
+    (ar, ai), (br, bi) = a, b
+    if not bi:
+        return ar // br, ai // br
+    norm = br * br + bi * bi
+    return (ar * br + ai * bi) // norm, (ai * br - ar * bi) // norm

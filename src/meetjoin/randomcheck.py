@@ -5,8 +5,9 @@ elimination oracles on pseudo-random instances; `check_closed` is the one
 place a closed set's det, rank and inverse meet elimination, for `verify`
 and `analyze` alike. The second routes to Psi live here too:
 `psi_by_mobius` (the `psi_two_routes` check) and `psi_from_matrix` (the
-check of that name). Generation is fully driven by one `random.Random`,
-so a seed reproduces the exact run.
+check of that name), on a Möbius recursion apart from the library's.
+Generation is fully driven by one `random.Random`, so a seed reproduces
+the exact run.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .posets import (
     closed_hull,
     closure_set,
     linear_extension,
-    mobius_matrix,
 )
 from .rowadjusted import (
     FunctionFamily,
@@ -229,13 +229,31 @@ def _psi_reconstructs(inst: Instance, closure: ClosureSet, grid: Matrix) -> str 
     return None
 
 
+def _mobius(closure: ClosureSet) -> Matrix:
+    """Möbius matrix of the closure by mu(x, x) = 1 and mu(x, y) = -sum of
+    mu(x, z) over x <= z < y, on ints, so that no check compares the
+    substitution kernel behind Psi and `mobius_matrix` with itself."""
+    below = closure.below
+    m = closure.m
+    grid = []
+    for i in range(m):
+        row = [0] * m
+        row[i] = 1
+        for j in range(i + 1, m):
+            row[j] = -sum(row[v] for v in below[j])
+        grid.append(row)
+    return Matrix(
+        [[ZERO if v == 0 else ONE if v == 1 else Scalar(Fraction(v)) for v in row] for row in grid]
+    )
+
+
 def psi_by_mobius(family: FunctionFamily, closure: ClosureSet) -> Matrix:
     """Psi over the closure as the Möbius-weighted sum of the function
     values: values @ mobius in meet mode, values @ mobius^T in join mode."""
     values = Matrix(
         [[family.value(i, d) for d in closure.elements] for i in range(family.n)]
     )
-    mob = mobius_matrix(closure)
+    mob = _mobius(closure)
     return values @ (mob if closure.mode == MEET else mob.transpose())
 
 
@@ -255,7 +273,7 @@ def psi_from_matrix(matrix: Matrix, subset: Subset, mode: str = MEET) -> Matrix:
         raise NotClosedError(f"recovering the recursion grid needs a {mode}-closed subset") from None
     if matrix.rows != subset.n or matrix.cols != subset.n:
         raise DimensionError("matrix shape does not match the subset size")
-    mob = mobius_matrix(own)
+    mob = _mobius(own)
     return matrix @ (mob if mode == MEET else mob.transpose())
 
 

@@ -10,16 +10,15 @@ They give the factorization
 
 from which determinant, rank bounds, and the inverse of closed sets
 follow without elimination. For a closed set the closure is the subset
-itself and the masked grid L = incidence . psi_grid is triangular, so
-det is the product of its diagonal and the inverse is mobius @ L^-1
-(mobius^T @ L^-1 in join mode). Psi has one route here, the recursion;
+itself, incidence is the unit triangular Z and L = incidence . psi_grid
+is triangular, so det is the product of its diagonal and the inverse is
+(Z^T)^-1 @ L^-1 = Psi(I) @ Theta. Psi has one route here, the recursion;
 the routes that only cross-check it live in `randomcheck`.
 
 The entrywise product is a selection, not arithmetic: the masked grid
-keeps Psi where the incidence matrix is 1. The recurrences, Psi and the
-substitution for L^-1, walk the closure set's own `walk` and run on the
-integer core of `matrix`: values cleared to Gaussian integers (re, im)
-over one shared denominator, converted back to Scalars once per entry.
+keeps Psi where the incidence matrix is 1. Psi, Theta and the inverse
+are triangular solves by the one substitution kernel of `posets`, on
+Gaussian integers over one shared denominator, made Scalars once.
 """
 
 from __future__ import annotations
@@ -34,15 +33,16 @@ from .errors import (
     NotClosedError,
     SingularPsiError,
 )
-from .matrix import Matrix, _gaussian, _scalar
+from .matrix import Matrix, _gaussian, _over, _scalar
 from .posets import (
     MEET,
     ClosureSet,
     Subset,
+    _reversed,
+    _substitute,
     check_mode,
     closure_set,
     incidence_matrix,
-    mobius_matrix,
 )
 from .scalar import ONE, ZERO, Scalar, as_scalar
 
@@ -151,34 +151,21 @@ def psi_table(
     """Tabulate the recursion values of every row function over the closure.
 
     Meet mode solves f_i(d_k) = sum of values over elements below d_k by a
-    bottom-up pass; join mode is the top-down dual.
+    bottom-up pass; join mode is the top-down dual. Either is the unit
+    substitution Z @ Psi^T = F^T along the closure's `walk`, with Z the
+    0/1 matrix of its relation and F the values cleared to Gaussian
+    integers over one denominator.
     """
     check_mode(mode)
     _require_family(subset, family)
     closure = _resolve_closure(subset, mode, closure)
-    return PsiTable(subset, mode, closure, _psi_recursion(family, closure))
-
-
-def _psi_recursion(family: FunctionFamily, closure: ClosureSet) -> Matrix:
-    """Psi grid over the closure: each row's values, cleared to Gaussian
-    integers over one denominator, minus the values already solved at the
-    related elements."""
-    elems = closure.elements
-    steps = closure.walk
+    elems, steps = closure.elements, closure.walk
     # read row by row in walk order, so the first missing value to raise is
     # the one the recursion would reach first
     ints, den = _gaussian([[family.value(i, elems[k]) for k, _ in steps] for i in range(family.n)])
-    rows = []
-    for read in ints:
-        values = [(0, 0)] * len(elems)
-        for (k, related), (re, im) in zip(steps, read):
-            for v in related:
-                vr, vi = values[v]
-                re -= vr
-                im -= vi
-            values[k] = (re, im)
-        rows.append([_scalar(re, im, den) for re, im in values])
-    return Matrix(rows)
+    columns, _ = _substitute(steps, dict(zip((k for k, _ in steps), zip(*ints))))
+    grid = Matrix([[_scalar(re, im, den) for re, im in row] for row in zip(*columns)])
+    return PsiTable(subset, mode, closure, grid)
 
 
 def build_matrix(
@@ -215,11 +202,8 @@ def factorize(
 
     The product is independent of which admissible closure set is used.
     """
-    check_mode(mode)
-    _require_family(subset, family)
-    closure = _resolve_closure(subset, mode, closure)
-    incidence = incidence_matrix(subset, closure)
-    table = PsiTable(subset, mode, closure, _psi_recursion(family, closure))
+    table = psi_table(subset, family, mode, closure)
+    incidence = incidence_matrix(subset, table.closure)
     masked = table.masked()
     return Factorization(
         mode=mode,
@@ -290,78 +274,32 @@ def rank_report(table: PsiTable) -> RankReport:
 
 def theta_table(table: PsiTable) -> Matrix:
     """Theta = L^-1, the inverse of the triangular masked recursion grid L
-    of a closed set.
-
-    The diagonal is the reciprocal of the diagonal recursion values; meet
-    mode fills below it, join mode above, the rest is zero. Raises
-    SingularPsiError naming the first row whose diagonal value is zero.
-    """
-    diag = _closed_diagonal(table)
-    for i, value in enumerate(diag):
-        if value.is_zero:
-            raise SingularPsiError(i)
-
-    # L (incidence . psi) is triangular in the walk order, so L @ Theta = I
-    # is solved by substitution, one row at a time. Fraction-free over Z[i]:
-    # with L = P / D, Theta = D * P^-1, and row k of P^-1 is Y_k / d_k, where
-    # d_k is the product of the pivots P[u][u] walked up to and including k.
-    # Then Y_k[k] = d_(k-1) and Y_k[j] = -sum of P[k][u] * Y_u[j] * (d_(k-1)
-    # / d_u) over the related u; each quotient is an exact division in Z[i].
-    # A row Y_u is a dict over the columns it reaches; the others are zero.
-    ints, den = table.grid._int_form()
-    n = len(diag)
-    solved: dict[int, tuple[dict, tuple]] = {}  # k -> (Y_k, d_k)
-    prev = (1, 0)
-    for k, related in table.closure.walk:
-        row = ints[k]
-        y = {k: prev}
-        for u in related:
-            pr, pi = row[u]
-            if not (pr or pi):
-                continue
-            yu, du = solved[u]
-            qr, qi = _exact_quotient(prev, du)
-            cr, ci = pr * qr - pi * qi, pr * qi + pi * qr
-            for j, (ur, ui) in yu.items():
-                sr, si = y.get(j, (0, 0))
-                y[j] = (sr - cr * ur + ci * ui, si - cr * ui - ci * ur)
-        (pr, pi), (dr, di) = row[k], prev
-        prev = (dr * pr - di * pi, dr * pi + di * pr)
-        solved[k] = (y, prev)
-    theta = []
-    for k in range(n):
-        y, (dr, di) = solved[k]
-        # divide D * Y_k by d_k as multiplication by its conjugate, then by its norm
-        norm = dr * dr + di * di
-        theta.append(
-            [
-                _scalar(den * (re * dr + im * di), den * (im * dr - re * di), norm)
-                for re, im in (y.get(j, (0, 0)) for j in range(n))
-            ]
-        )
-    return Matrix(theta)
-
-
-def _exact_quotient(a: tuple, b: tuple) -> tuple:
-    """a / b for Gaussian integers b != 0 that divide a exactly."""
-    (ar, ai), (br, bi) = a, b
-    if not bi:
-        return ar // br, ai // br
-    norm = br * br + bi * bi
-    return (ar * br + ai * bi) // norm, (ai * br - ar * bi) // norm
+    of a closed set: meet mode fills below the diagonal, join mode above.
+    Raises SingularPsiError naming the first row whose diagonal value is
+    zero."""
+    return _over(*_theta(table))
 
 
 def theorem_inverse(table: PsiTable) -> Matrix:
-    """Inverse of the matrix of a closed set via the triangular recursion.
-
-    Exists iff every diagonal recursion value is nonzero; otherwise raises
-    SingularPsiError naming the first offending row. The product of the
-    Möbius matrix of the subset (its transpose in join mode) and Theta,
-    never from elimination.
+    """Inverse of the matrix L @ Z^T of a closed set, Psi(I) @ Theta: it
+    solves Z^T @ X = Theta by one more unit substitution, along the
+    reversed walk, never by elimination. Exists iff every diagonal
+    recursion value is nonzero; otherwise raises SingularPsiError naming
+    the first offending row.
     """
-    theta = theta_table(table)
-    mob = mobius_matrix(table.closure)
-    return (mob if table.mode == MEET else mob.transpose()) @ theta
+    rows, den, d = _theta(table)
+    return _over(_substitute(_reversed(table.closure.walk), rows)[0], den, d)
+
+
+def _theta(table: PsiTable) -> tuple[list, int, tuple]:
+    """Theta as (rows, D, d), Theta = D * rows / d: with L = P / D over the
+    Gaussian integers, the substitution P @ Y = I gives Y = rows / d."""
+    for i, value in enumerate(_closed_diagonal(table)):
+        if value.is_zero:
+            raise SingularPsiError(i)
+    ints, den = table.grid._int_form()
+    rows, d = _substitute(table.closure.walk, coeffs=ints)
+    return rows, den, d
 
 
 def ordinary_rank(subset: Subset, table: Mapping, mode: str = MEET) -> int:

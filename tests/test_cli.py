@@ -201,6 +201,41 @@ def test_verify_command(capsys):
     assert d["check_factorization"].startswith("pass")
 
 
+def test_verify_failure_report_counts_each_check_apart(capsys, monkeypatch):
+    # a fault in two checks: each check line counts only its own failures,
+    # and the report names the earliest failure of all
+    import meetjoin.randomcheck as randomcheck
+
+    det, route = randomcheck.theorem_det, randomcheck.psi_by_mobius
+    monkeypatch.setattr(randomcheck, "theorem_det", lambda *args: det(*args) * 2)
+    monkeypatch.setattr(randomcheck, "psi_by_mobius", lambda *args: -route(*args))
+    code, out, _ = run(capsys, "verify", "--seed", "1", "--cases", "20", "--format", "machine")
+    assert code == 5
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("check_")] == [
+        "check_attainment_lower=pass 1/1",
+        "check_attainment_upper=pass 1/1",
+        "check_d_invariance=pass 18/18",
+        "check_det_theorem=fail 9/12",
+        "check_factorization=pass 20/20",
+        "check_factorization_enlarged=pass 18/18",
+        "check_inverse_iff=pass 12/12",
+        "check_ordinary_rank=pass 1/1",
+        "check_psi_from_matrix=pass 12/12",
+        "check_psi_reconstruction=pass 38/38",
+        "check_psi_two_routes=fail 2/20",
+        "check_rank_trichotomy=pass 12/12",
+        "check_specialization=pass 3/3",
+        "check_transpose_duality=pass 20/20",
+    ]
+    assert lines[-4:] == [
+        "result=fail",
+        "first_failure=psi_two_routes case 1: divisors(96) S=[1, 4, 6, 16, 24, 32, 48] mode=join",
+        "first_failure_detail=recursion and Möbius-sum grids disagree",
+        "reproduce=meetjoin verify --seed 1 --cases 2",
+    ]
+
+
 def test_machine_output_is_stable(capsys):
     args = ["verify", "--seed", "11", "--cases", "15", "--format", "machine"]
     _, first, _ = run(capsys, *args)

@@ -87,6 +87,15 @@ def test_immutability():
         m._ints = None
 
 
+@pytest.mark.parametrize("name", ["rows", "cols", "entries", "_ints"])
+def test_attributes_cannot_be_deleted(name):
+    m = Matrix([[1, 2]])
+    with pytest.raises(AttributeError, match="Matrix is immutable"):
+        delattr(m, name)
+    assert (m.rows, m.cols, m.entries) == (1, 2, Matrix([[1, 2]]).entries)
+    assert m @ Matrix([[1], [1]]) == Matrix([[3]])
+
+
 def test_integer_form_is_kept_and_invisible():
     m = Matrix([[Fraction(1, 2), I], [3, Scalar(1, -1)]])
     fresh = Matrix(m.entries)

@@ -318,4 +318,15 @@ def test_poset_equality_and_canonical_covers():
     p2 = FinitePoset([("a", "b"), ("b", "c"), ("a", "c")])
     assert p1 == p2
     assert p1.covers == p2.covers
-    assert ("a", "c") not in p2.covers
+    assert p2.covers == (("a", "b"), ("b", "c"))
+
+
+def test_closure_sets_differ_by_mode_and_backend():
+    chain = FinitePoset([("1", "2")], elements=["1", "2"])
+    meet = ClosureSet(DivisorLattice(), [1, 2], MEET)
+    assert meet == ClosureSet(DivisorLattice(), [1, 2], MEET)
+    assert meet != ClosureSet(DivisorLattice(), [1, 2], JOIN)
+    assert ClosureSet(chain, ["1", "2"], MEET) != ClosureSet(chain, ["1", "2"], JOIN)
+    # equal elements, equal mode, another backend
+    other = FinitePoset([("1", "2"), ("2", "3")], elements=["1", "2", "3"])
+    assert ClosureSet(chain, ["1", "2"], MEET) != ClosureSet(other, ["1", "2"], MEET)

@@ -231,3 +231,38 @@ def test_closedness_is_asked_once_per_request(monkeypatch, capsys, tmp_path):
         assert main(argv) == 0
         capsys.readouterr()
         assert len(calls) == want, argv
+
+
+def test_kernel_fault_is_caught_by_the_mobius_route(monkeypatch):
+    # a substitution kernel that skips the last related index of each step
+    substitute = posets._substitute
+
+    def skipping(walk, *args, **kwargs):
+        return substitute(tuple((k, related[:-1]) for k, related in walk), *args, **kwargs)
+
+    monkeypatch.setattr(posets, "_substitute", skipping)
+    monkeypatch.setattr(rowadjusted, "_substitute", skipping)
+    report = run_verify(seed=1, cases=20)
+    assert "psi_two_routes" in {f.check for f in report.failures}
+
+
+def test_mobius_routes_are_independent_of_the_kernel(monkeypatch):
+    rng = random.Random(4)
+    cases = []
+    for mode in (MEET, JOIN) * 6:
+        inst = random_instance(rng, mode=mode, force_closed=True)
+        table = closed_psi(inst.subset, inst.family, mode)
+        matrix = build_matrix(inst.subset, inst.family, mode)
+        cases.append((inst, table.grid, table.masked(), matrix))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Möbius route used the library's kernel")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("meetjoin"):
+            for attr in ("mobius_matrix", "_substitute"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    for inst, grid, masked, matrix in cases:
+        assert randomcheck.psi_by_mobius(inst.family, inst.closure) == grid
+        assert randomcheck.psi_from_matrix(matrix, inst.subset, inst.mode) == masked

@@ -5,7 +5,9 @@ Gaussian integers over one shared denominator. Each is compared with the
 former Scalar loop kept in `oracles.py`, on divisor and finite-poset
 closures in both modes, with Gaussian values of which a third are zero:
 equal grids, and equal errors where the old loop raised, missing values
-and zero recursion diagonals included.
+and zero recursion diagonals included. The closed inverse, one more
+substitution, is compared with the old Möbius matrix (transposed in join
+mode) times the old Θ.
 
 The order table a `ClosureSet` keeps (`below` and `walk`) is compared the
 same way with the former `leq` walk and a direct `leq` scan.
@@ -31,10 +33,16 @@ from meetjoin.posets import (
     linear_extension,
     mobius_matrix,
 )
-from meetjoin.rowadjusted import FunctionFamily, closed_psi, psi_table, theta_table
+from meetjoin.rowadjusted import FunctionFamily, closed_psi, psi_table, theorem_inverse, theta_table
 from meetjoin.scalar import ZERO, Scalar
 
-from oracles import old_mobius_matrix, old_psi_recursion, old_theta_table, old_walk
+from oracles import (
+    naive_matmul,
+    old_mobius_matrix,
+    old_psi_recursion,
+    old_theta_table,
+    old_walk,
+)
 
 
 gaussian = st.builds(
@@ -134,6 +142,24 @@ def test_psi_recursion_matches_old_loop(inst):
     assert mobius_matrix(closure) == old_mobius_matrix(closure)
 
 
+def old_closed_inverse(table):
+    """The former closed inverse: the old Möbius matrix (its transpose in
+    join mode) times the old Theta."""
+    theta = old_theta_table(table)
+    mob = old_mobius_matrix(table.closure)
+    return naive_matmul(mob if table.mode == MEET else mob.transpose(), theta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(closed=True))
+def test_inverse_matches_old_mobius_times_old_theta(inst):
+    subset, _, family, mode = inst
+    table = outcome(closed_psi, subset, family, mode)
+    if isinstance(table, tuple):  # a missing value
+        return
+    assert outcome(theorem_inverse, table) == outcome(old_closed_inverse, table)
+
+
 @settings(max_examples=150, deadline=None)
 @given(instances(closed=True))
 def test_theta_and_mobius_match_old_loops_on_closed_sets(inst):
@@ -154,41 +180,47 @@ def _pentagon_family(rows):
     return FunctionFamily([dict(zip(PENTAGON.elements, row)) for row in rows])
 
 
-@pytest.mark.parametrize(
-    "subset, family, mode",
-    [
-        # the pentagon family of the paper: row 1 has a zero diagonal value
-        (
-            Subset(PENTAGON, PENTAGON.elements),
-            _pentagon_family(
-                [[0] * 5, [0, 1, 0, 0, 0], [1, 0, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1]]
-            ),
-            MEET,
+FIXED_CASES = [
+    # the pentagon family of the paper: row 1 has a zero diagonal value
+    (
+        Subset(PENTAGON, PENTAGON.elements),
+        _pentagon_family(
+            [[0] * 5, [0, 1, 0, 0, 0], [1, 0, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1]]
         ),
-        # a zero diagonal value in the last row only, then in the middle row
-        (
-            Subset(DivisorLattice(), [1, 2, 4]),
-            FunctionFamily([{1: I, 2: 2, 4: 3}] * 2 + [{1: 1, 2: 2, 4: 2}]),
-            MEET,
+        MEET,
+    ),
+    # a zero diagonal value in the last row only, then in the middle row
+    (
+        Subset(DivisorLattice(), [1, 2, 4]),
+        FunctionFamily([{1: I, 2: 2, 4: 3}] * 2 + [{1: 1, 2: 2, 4: 2}]),
+        MEET,
+    ),
+    (
+        Subset(DivisorLattice(), [2, 4, 8]),
+        FunctionFamily([{2: 1, 4: I, 8: I}, {2: 5, 4: 1, 8: 1}, {2: 1, 4: 2, 8: 3}]),
+        JOIN,
+    ),
+    # nonsingular, Gaussian rationals
+    (
+        Subset(DivisorLattice(), [1, 2, 3, 4, 5, 6]),
+        FunctionFamily(
+            [{d: Scalar(Fraction(d, i + 1), i - d) for d in range(1, 7)} for i in range(6)]
         ),
-        (
-            Subset(DivisorLattice(), [2, 4, 8]),
-            FunctionFamily([{2: 1, 4: I, 8: I}, {2: 5, 4: 1, 8: 1}, {2: 1, 4: 2, 8: 3}]),
-            JOIN,
-        ),
-        # nonsingular, Gaussian rationals
-        (
-            Subset(DivisorLattice(), [1, 2, 3, 4, 5, 6]),
-            FunctionFamily(
-                [{d: Scalar(Fraction(d, i + 1), i - d) for d in range(1, 7)} for i in range(6)]
-            ),
-            MEET,
-        ),
-        (Subset(PENTAGON, PENTAGON.elements), _pentagon_family([[1, I, 2, 3, 4]] * 5), JOIN),
-    ],
-)
+        MEET,
+    ),
+    (Subset(PENTAGON, PENTAGON.elements), _pentagon_family([[1, I, 2, 3, 4]] * 5), JOIN),
+]
+
+
+@pytest.mark.parametrize("subset, family, mode", FIXED_CASES)
 def test_fixed_cases_match_old_loops(subset, family, mode):
     table = closed_psi(subset, family, mode)
     assert table.grid == old_psi_recursion(family, table.closure)
     assert outcome(theta_table, table) == outcome(old_theta_table, table)
     assert mobius_matrix(table.closure) == old_mobius_matrix(table.closure)
+
+
+@pytest.mark.parametrize("subset, family, mode", FIXED_CASES)
+def test_fixed_cases_match_old_closed_inverse(subset, family, mode):
+    table = closed_psi(subset, family, mode)
+    assert outcome(theorem_inverse, table) == outcome(old_closed_inverse, table)
